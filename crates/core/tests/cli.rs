@@ -1,6 +1,8 @@
 //! End-to-end tests of the `spectral-order` command-line binary.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_spectral-order")
@@ -177,4 +179,113 @@ fn missing_file_fails_cleanly() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error reading"));
+}
+
+/// `spectral-orderd` belongs to the se-service package, so Cargo exports no
+/// path for it to this one; a workspace build (`cargo test --workspace`)
+/// puts it next to `spectral-order`.
+fn orderd_bin() -> PathBuf {
+    let path =
+        Path::new(bin()).with_file_name(format!("spectral-orderd{}", std::env::consts::EXE_SUFFIX));
+    assert!(
+        path.exists(),
+        "{} is not built; run `cargo test --workspace` or `cargo build -p se-service` first",
+        path.display()
+    );
+    path
+}
+
+/// A daemon child process, killed if the test fails before its SHUTDOWN.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Starts a daemon command, waits for its `listening on ADDR` line, stops
+/// it with SHUTDOWN and asserts a clean exit.
+fn serve_and_shutdown(cmd: &mut Command) {
+    let mut daemon = Daemon(
+        cmd.stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("daemon starts"),
+    );
+    let mut line = String::new();
+    BufReader::new(daemon.0.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    let Some(addr) = line
+        .strip_prefix("listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
+    else {
+        let mut stderr = String::new();
+        let _ = std::io::Read::read_to_string(daemon.0.stderr.as_mut().unwrap(), &mut stderr);
+        panic!("no listening line: stdout {line:?}, stderr {stderr:?}");
+    };
+    let mut client = se_service::Client::connect(addr).expect("connect to the daemon");
+    client.shutdown().expect("SHUTDOWN is acknowledged");
+    let status = daemon.0.wait().unwrap();
+    assert!(status.success(), "{status}");
+}
+
+#[test]
+fn serve_accepts_the_mesh_flags() {
+    serve_and_shutdown(Command::new(bin()).args([
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--peer-heartbeat-ms",
+        "100",
+        "--hint-cap",
+        "8",
+    ]));
+}
+
+#[test]
+fn orderd_accepts_the_serve_flags() {
+    serve_and_shutdown(Command::new(orderd_bin()).args([
+        "--addr",
+        "127.0.0.1:0",
+        "--threads",
+        "2",
+        "--log-requests",
+        "--cache-dir-budget",
+        "1000000",
+    ]));
+}
+
+#[test]
+fn both_daemon_entry_points_print_the_same_help() {
+    let serve = Command::new(bin())
+        .args(["serve", "--help"])
+        .output()
+        .unwrap();
+    let orderd = Command::new(orderd_bin()).arg("--help").output().unwrap();
+    assert!(serve.status.success(), "{}", serve.status);
+    assert!(orderd.status.success(), "{}", orderd.status);
+    // Both list exactly the shared option table after their usage line.
+    let options = |out: &[u8]| {
+        let text = String::from_utf8_lossy(out).into_owned();
+        text.split_once('\n')
+            .expect("usage line")
+            .1
+            .trim_end()
+            .to_string()
+    };
+    assert_eq!(options(&serve.stdout), se_service::SERVE_USAGE.trim_end());
+    assert_eq!(options(&orderd.stdout), se_service::SERVE_USAGE.trim_end());
+}
+
+#[test]
+fn serve_rejects_an_overflowing_cache_size() {
+    let out = Command::new(bin())
+        .args(["serve", "--cache-mb", "17592186044416"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("overflows"));
 }

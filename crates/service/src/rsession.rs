@@ -1,18 +1,19 @@
-//! The reactor session layer: the pipelined, multiplexed protocol loop.
+//! The session layer: the pipelined, multiplexed protocol loop.
 //!
 //! One [`Session`] per connection, driven by `se-reactor` callbacks on the
 //! owning event-loop thread — decode and dispatch happen on the reactor,
 //! compute on the engine's worker pool, and completions come back through
-//! [`se_reactor::Handle::post`] as [`SessionMsg`]s. Unlike the legacy
-//! [`crate::session`] loop, reading never blocks on a running solve, so a
-//! client may pipeline requests back-to-back on one connection.
+//! [`se_reactor::Handle::post`] as [`SessionMsg`]s. Reading never blocks
+//! on a running solve, so a client may pipeline requests back-to-back on
+//! one connection. The per-client-IP [`RateLimiter`] a session charges
+//! per ORDER lives here too.
 //!
 //! # Response ordering
 //!
 //! Protocol v1 promises responses *in request order*, so every response is
 //! staged under its request sequence number and released strictly in
-//! sequence — a pipelined v1 client observes exactly the bytes the
-//! thread-per-connection loop would have produced. A `HELLO` negotiating
+//! sequence — a pipelined v1 client observes exactly the bytes a strict
+//! request/response loop would have produced. A `HELLO` negotiating
 //! protocol v2 ends the ordered prefix: responses from the ack onward are
 //! released the moment they are ready, tagged with the client-assigned
 //! `"id"` when the request carried one, and unsolicited `PROGRESS` frames
@@ -21,10 +22,10 @@
 //!
 //! # Timeouts
 //!
-//! The engine no longer enforces wall-clock timeouts on this path (it
-//! cannot block the loop); the session arms the connection's reactor
-//! deadline with the nearest in-flight expiry, answers `request timed out`
-//! itself, and drops the late completion when it eventually arrives.
+//! The engine does not enforce wall-clock timeouts (it cannot block the
+//! loop); the session arms the connection's reactor deadline with the
+//! nearest in-flight expiry, answers `request timed out` itself, and drops
+//! the late completion when it eventually arrives.
 
 use crate::engine::{Engine, OrderOutcome, ProgressSink, ProgressUpdate};
 use crate::frame::FrameMode;
@@ -33,11 +34,11 @@ use crate::proto::{
     decode_request, encode_response_tagged, ErrorResponse, OrderRequest, ProgressFrame, Request,
     Response,
 };
-use crate::transport::RateLimiter;
+use se_faults::lock_unpoisoned;
 use se_reactor::{ConnCtx, Handle, Handler, Token};
 use std::collections::{BTreeMap, HashMap};
 use std::net::IpAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Highest protocol level this session negotiates.
@@ -306,6 +307,34 @@ impl Session {
         );
         self.arm_deadline(ctx);
     }
+
+    /// Starts the SHUTDOWN drain. Draining the pool blocks, so it runs on
+    /// its own thread and the ack comes back as a
+    /// [`SessionMsg::ShutdownReady`]. Completions of this connection's own
+    /// in-flight orders post before the drain finishes, so their responses
+    /// precede the ack.
+    fn shutdown(&mut self, ctx: &mut ConnCtx<'_>, seq: u64) {
+        self.shutdown_pending = true;
+        let engine = Arc::clone(&self.engine);
+        let handle = self.handle.clone();
+        let token = self.token;
+        let spawned = std::thread::Builder::new()
+            .name("orderd-drain".to_string())
+            .spawn(move || {
+                let drained = engine.begin_shutdown();
+                engine.mark_shutdown_complete();
+                handle.post(token, SessionMsg::ShutdownReady { seq, drained });
+            });
+        if spawned.is_err() {
+            // No thread to drain on; answer and stop directly.
+            let drained = self.engine.begin_shutdown();
+            self.engine.mark_shutdown_complete();
+            let bytes = render(&Response::ShutdownOk { drained }, self.mode, None);
+            self.ready(ctx, seq, bytes);
+            ctx.close_after_flush();
+            self.handle.stop();
+        }
+    }
 }
 
 impl Handler<SessionMsg> for Session {
@@ -316,13 +345,14 @@ impl Handler<SessionMsg> for Session {
         self.metrics().inc(&self.metrics().requests);
         let seq = self.next_seq;
         self.next_seq += 1;
-        match decode_request(&line) {
-            Err(e) => {
-                self.metrics().inc(&self.metrics().errors);
-                let resp = Response::Error(ErrorResponse::fatal(e.to_string()));
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
+        // ORDER, BATCH and SHUTDOWN answer later, off the event loop; every
+        // other command is a cheap in-memory operation (WARM reads the
+        // cache but never computes) answered inline.
+        let resp = match decode_request(&line) {
+            Err(e) => Response::Error(ErrorResponse::fatal(e.to_string())),
+            Ok(Request::Order(req)) => return self.submit(ctx, seq, req),
+            Ok(Request::Batch(reqs)) => return self.submit_batch(ctx, seq, reqs),
+            Ok(Request::Shutdown) => return self.shutdown(ctx, seq),
             Ok(Request::Hello { frames, proto }) => {
                 self.mode = frames;
                 // The level never decreases: a later HELLO asking for less
@@ -334,138 +364,56 @@ impl Handler<SessionMsg> for Session {
                     self.strict_until = seq;
                 }
                 self.proto = negotiated;
-                let resp = Response::Hello {
+                Response::Hello {
                     frames,
                     proto: negotiated,
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
+                }
             }
-            Ok(Request::Order(req)) => self.submit(ctx, seq, req),
-            Ok(Request::Batch(reqs)) => self.submit_batch(ctx, seq, reqs),
-            Ok(Request::Stats) => {
-                let resp = Response::Stats(self.engine.stats_snapshot());
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Cancel { id }) => {
-                let resp = Response::CancelOk {
-                    pending: self.engine.cancel(id),
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Metrics) => {
-                let resp = Response::Metrics(self.engine.metrics_text());
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
+            Ok(Request::Stats) => Response::Stats(self.engine.stats_snapshot()),
+            Ok(Request::Metrics) => Response::Metrics(self.engine.metrics_text()),
+            Ok(Request::Cancel { id }) => Response::CancelOk {
+                pending: self.engine.cancel(id),
+            },
+            // A peer pushing a cache entry (mesh replication or drain
+            // handoff). Accepted only from configured mesh peers — entries
+            // are served as authoritative answers, so an open REPLICATE
+            // would be a silent cache-poisoning vector.
             Ok(Request::Replicate { entry }) => {
-                // A peer pushing a cache entry (mesh replication or drain
-                // handoff). Accepted only from configured mesh peers —
-                // entries are served as authoritative answers, so an open
-                // REPLICATE would be a silent cache-poisoning vector.
-                // Validation + insert are a cheap in-memory operation plus
-                // at most one spill write, so it answers inline like STATS
-                // rather than on the worker pool.
-                let resp = if !self.engine.replicate_allowed(self.peer) {
-                    self.metrics().inc(&self.metrics().errors);
+                if self.engine.replicate_allowed(self.peer) {
+                    self.engine
+                        .apply_replicate(&entry)
+                        .map_or_else(Response::Error, |stored| Response::ReplicateOk { stored })
+                } else {
                     Response::Error(ErrorResponse::fatal(
                         "REPLICATE refused: sender is not a configured mesh peer",
                     ))
-                } else {
-                    match self.engine.apply_replicate(&entry) {
-                        Ok(stored) => Response::ReplicateOk { stored },
-                        Err(e) => {
-                            self.metrics().inc(&self.metrics().errors);
-                            Response::Error(e)
-                        }
-                    }
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            // Membership traffic answers inline like STATS: every handler
-            // is a cheap in-memory operation (WARM reads the cache but
-            // never computes). PING and JOIN are open; LEAVE / SYNC /
-            // WARM are member-gated inside the engine handlers.
-            Ok(Request::Ping { from }) => {
-                let resp = self.engine.handle_ping(&from);
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Join { from }) => {
-                let resp = match self.engine.handle_join(&from, self.peer) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.metrics().inc(&self.metrics().errors);
-                        Response::Error(e)
-                    }
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Leave { from }) => {
-                let resp = match self.engine.handle_leave(&from, self.peer) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.metrics().inc(&self.metrics().errors);
-                        Response::Error(e)
-                    }
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Sync { from, digests }) => {
-                let resp = match self.engine.handle_sync(&from, &digests, self.peer) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.metrics().inc(&self.metrics().errors);
-                        Response::Error(e)
-                    }
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Warm { from }) => {
-                let resp = match self.engine.handle_warm(&from, self.peer) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.metrics().inc(&self.metrics().errors);
-                        Response::Error(e)
-                    }
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Shutdown) => {
-                // Draining the pool blocks, so it runs on its own thread;
-                // the ack comes back as a ShutdownReady message. Completions
-                // of this connection's own in-flight orders post before the
-                // drain finishes, so their responses precede the ack.
-                self.shutdown_pending = true;
-                let engine = Arc::clone(&self.engine);
-                let handle = self.handle.clone();
-                let token = self.token;
-                let spawned = std::thread::Builder::new()
-                    .name("orderd-drain".to_string())
-                    .spawn(move || {
-                        let drained = engine.begin_shutdown();
-                        engine.mark_shutdown_complete();
-                        handle.post(token, SessionMsg::ShutdownReady { seq, drained });
-                    });
-                if spawned.is_err() {
-                    // No thread to drain on; answer and stop directly.
-                    let drained = self.engine.begin_shutdown();
-                    self.engine.mark_shutdown_complete();
-                    let resp = Response::ShutdownOk { drained };
-                    let bytes = render(&resp, self.mode, None);
-                    self.ready(ctx, seq, bytes);
-                    ctx.close_after_flush();
-                    self.handle.stop();
                 }
             }
+            // Membership traffic: PING and JOIN are open; LEAVE / SYNC /
+            // WARM are member-gated inside the engine handlers.
+            Ok(Request::Ping { from }) => self.engine.handle_ping(&from),
+            Ok(Request::Join { from }) => self
+                .engine
+                .handle_join(&from, self.peer)
+                .unwrap_or_else(Response::Error),
+            Ok(Request::Leave { from }) => self
+                .engine
+                .handle_leave(&from, self.peer)
+                .unwrap_or_else(Response::Error),
+            Ok(Request::Sync { from, digests }) => self
+                .engine
+                .handle_sync(&from, &digests, self.peer)
+                .unwrap_or_else(Response::Error),
+            Ok(Request::Warm { from }) => self
+                .engine
+                .handle_warm(&from, self.peer)
+                .unwrap_or_else(Response::Error),
+        };
+        if matches!(resp, Response::Error(_)) {
+            self.metrics().inc(&self.metrics().errors);
         }
+        let bytes = render(&resp, self.mode, None);
+        self.ready(ctx, seq, bytes);
     }
 
     fn on_message(&mut self, ctx: &mut ConnCtx<'_>, msg: SessionMsg) {
@@ -598,6 +546,68 @@ impl Handler<SessionMsg> for Session {
         // to completion, but the reactor must stop regardless.
         if self.shutdown_pending {
             self.handle.stop();
+        }
+    }
+}
+
+/// A token bucket per client IP: `rate` tokens replenish per second up to
+/// `burst`, and the session layer charges one token per ORDER (one per
+/// BATCH member). A client that runs dry gets a fatal `rate limited` error
+/// line instead of service.
+///
+/// Buckets are keyed by peer IP so reconnecting does not reset the meter.
+/// The table is bounded: when it grows past `RateLimiter::MAX_CLIENTS`,
+/// buckets that have fully replenished (i.e. idle clients) are dropped.
+pub struct RateLimiter {
+    rate: f64,
+    burst: f64,
+    buckets: Mutex<HashMap<IpAddr, TokenBucket>>,
+}
+
+struct TokenBucket {
+    tokens: f64,
+    last: Instant,
+}
+
+impl RateLimiter {
+    /// Idle-bucket eviction threshold for the per-IP table.
+    const MAX_CLIENTS: usize = 4096;
+
+    /// A limiter replenishing `rate` tokens per second per client IP, with
+    /// bucket capacity `burst`. Both are clamped to at least 1.
+    pub fn new(rate: u64, burst: u64) -> Self {
+        RateLimiter {
+            rate: rate.max(1) as f64,
+            burst: burst.max(1) as f64,
+            buckets: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Charges `cost` tokens against `peer`'s bucket, replenishing it
+    /// first. Returns whether the request is allowed.
+    pub fn allow(&self, peer: IpAddr, cost: u64) -> bool {
+        let now = Instant::now();
+        let mut buckets = lock_unpoisoned(&self.buckets);
+        if buckets.len() >= Self::MAX_CLIENTS && !buckets.contains_key(&peer) {
+            // Drop replenished (idle) buckets; a full bucket carries no
+            // information beyond its default state.
+            let (rate, burst) = (self.rate, self.burst);
+            buckets.retain(|_, b| {
+                (b.tokens + now.duration_since(b.last).as_secs_f64() * rate) < burst
+            });
+        }
+        let b = buckets.entry(peer).or_insert(TokenBucket {
+            tokens: self.burst,
+            last: now,
+        });
+        b.tokens =
+            (b.tokens + now.duration_since(b.last).as_secs_f64() * self.rate).min(self.burst);
+        b.last = now;
+        if b.tokens >= cost as f64 {
+            b.tokens -= cost as f64;
+            true
+        } else {
+            false
         }
     }
 }

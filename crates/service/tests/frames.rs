@@ -34,30 +34,46 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The central guarantee: bit-identical permutations over NDJSON and
-/// binary framing; this drives both modes against one server.
+/// The central guarantee: bit-identical responses over NDJSON and binary
+/// framing, computed and cache hit alike, with every permutation equal to
+/// the in-process library's on the same graph. Each mode gets its own
+/// server so both see the computed response first and the hit second.
 #[test]
 fn binary_and_ndjson_responses_are_bit_identical() {
-    let handle = serve(Config::default()).expect("bind");
-    let addr = handle.local_addr();
-    let g = meshgen::grid2d(11, 9);
+    let nd_server = serve(Config::default()).expect("bind");
+    let bi_server = serve(Config::default()).expect("bind");
 
-    let mut ndjson = Client::connect(addr).unwrap();
-    let mut binary = Client::connect(addr).unwrap();
+    let mut ndjson = Client::connect(nd_server.local_addr()).unwrap();
+    let mut binary = Client::connect(bi_server.local_addr()).unwrap();
     assert_eq!(binary.hello(FrameMode::Binary).unwrap(), FrameMode::Binary);
     assert_eq!(binary.frame_mode(), FrameMode::Binary);
 
-    for alg in [se_order::Algorithm::Rcm, se_order::Algorithm::Spectral] {
-        let a = ndjson.order(chaco_request(&g, alg)).unwrap();
-        let b = binary.order(chaco_request(&g, alg)).unwrap();
-        assert_eq!(
-            a.perm.as_ref().unwrap().order(),
-            b.perm.as_ref().unwrap().order(),
-            "{alg:?}: permutations must be bit-identical across frame modes"
-        );
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.n, b.n);
-        assert_eq!(a.nnz, b.nnz);
+    for g in [meshgen::grid2d(11, 9), meshgen::annulus_tri(8, 30, 0xF00)] {
+        for alg in [se_order::Algorithm::Rcm, se_order::Algorithm::Spectral] {
+            let reference = se_order::order(&g, alg).unwrap();
+            for hit in [false, true] {
+                let a = ndjson.order(chaco_request(&g, alg)).unwrap();
+                let b = binary.order(chaco_request(&g, alg)).unwrap();
+                assert_eq!(a.cache_hit, hit, "{alg:?}: ndjson cache_hit");
+                assert_eq!(b.cache_hit, hit, "{alg:?}: binary cache_hit");
+                assert_eq!(
+                    a.perm.as_ref().unwrap().order(),
+                    reference.perm.order(),
+                    "{alg:?} hit={hit}: the service must return the library's permutation"
+                );
+                assert_eq!(
+                    a.perm.as_ref().unwrap().order(),
+                    b.perm.as_ref().unwrap().order(),
+                    "{alg:?} hit={hit}: permutations must be bit-identical across frame modes"
+                );
+                assert_eq!(a.stats, reference.stats);
+                assert_eq!(a.stats, b.stats);
+                assert_eq!((&a.alg, a.n, a.nnz), (&b.alg, b.n, b.nnz));
+                assert_eq!(a.compression_ratio, b.compression_ratio);
+                assert_eq!(a.degraded, None);
+                assert_eq!(b.degraded, None);
+            }
+        }
     }
 
     // Batches carry one frame per ok slot, in order.
@@ -75,9 +91,13 @@ fn binary_and_ndjson_responses_are_bit_identical() {
         );
     }
 
-    let mut control = Client::connect(addr).unwrap();
-    control.shutdown().unwrap();
-    handle.join();
+    for server in [nd_server, bi_server] {
+        Client::connect(server.local_addr())
+            .unwrap()
+            .shutdown()
+            .unwrap();
+        server.join();
+    }
 }
 
 /// Looks under the client abstraction: after HELLO the response line really
