@@ -139,21 +139,30 @@ impl Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs of bytes that need no escape
+/// are copied with one `push_str` each; every escaped byte is ASCII, so a
+/// run always ends on a char boundary.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -405,6 +414,61 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-`push`-per-char encoder `write_escaped` replaced.
+    fn escaped_per_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_batched_escaping_matches_per_char_encoder() {
+        let mut cases: Vec<String> = (0u8..0x80).map(|b| char::from(b).to_string()).collect();
+        cases.extend(
+            [
+                "",
+                "plain run",
+                "\"quoted\"",
+                "back\\slash\\",
+                "1 2\n3 4\r\n\t5\n",
+                "\u{7f}\u{80}\u{ff}",
+                "\u{e9}\n\u{e9}",
+                "\u{20ac}\"\u{20ac}",
+                "\u{1f600}\u{1}\u{1f600}",
+                "\\\u{3000}\\",
+                "\u{10ffff}",
+                "\u{0}x\u{1f}",
+            ]
+            .map(str::to_string),
+        );
+        // Every escapable byte between and around multi-byte characters.
+        for c in ['\u{e9}', '\u{20ac}', '\u{1f600}'] {
+            for b in (0u8..0x20).chain([b'"', b'\\']) {
+                let e = char::from(b);
+                cases.push(format!("{c}{e}{c}"));
+                cases.push(format!("{e}{c}{e}"));
+            }
+        }
+        for s in &cases {
+            let mut out = String::new();
+            write_escaped(&mut out, s);
+            assert_eq!(out, escaped_per_char(s), "{s:?}");
+        }
+    }
 
     #[test]
     fn roundtrip_values() {

@@ -366,3 +366,41 @@ fn malformed_lines_get_errors_but_the_connection_survives() {
     client.shutdown().unwrap();
     handle.join();
 }
+
+#[test]
+fn lying_header_counts_get_errors_and_the_daemon_lives_on() {
+    // Each payload is a few dozen bytes whose header declares 10¹⁴ entries.
+    // Reserving for the declared count would abort the whole process —
+    // beyond the reach of the worker pool's panic catch.
+    let hb = format!(
+        "{:<80}\n{:>14}{:>14}{:>14}{:>14}\nPSA{:>11}{:>14}{:>14}{:>14}\n{:<16}{:<16}\n    1    2\n    1\n",
+        "lying header", 2, 1, 1, 0, "", 1, 1, 100_000_000_000_000usize, "(16I5)", "(16I5)"
+    );
+    let payloads = [
+        (MatrixFormat::Chaco, "1 100000000000000\n\n".to_string()),
+        (
+            MatrixFormat::MatrixMarket,
+            "%%MatrixMarket matrix coordinate pattern symmetric\n1 1 100000000000000\n1 1\n"
+                .to_string(),
+        ),
+        (MatrixFormat::HarwellBoeing, hb),
+    ];
+    let (handle, addr) = start(Config::default());
+    let mut client = Client::connect(addr).unwrap();
+    let g = meshgen::grid2d(6, 6);
+    for (format, payload) in payloads {
+        let mut req = chaco_request(&g, se_order::Algorithm::Rcm);
+        req.source = MatrixSource::Inline { format, payload };
+        match client.order(req) {
+            Err(se_service::ClientError::Server(e)) => assert!(!e.retriable, "{format:?}"),
+            other => panic!("{format:?}: expected an error response, got {other:?}"),
+        }
+        let ok = client
+            .order(chaco_request(&g, se_order::Algorithm::Rcm))
+            .unwrap();
+        assert_eq!(ok.n, g.n());
+        assert_valid_perm(ok.perm.as_ref().unwrap().order(), g.n());
+    }
+    client.shutdown().unwrap();
+    handle.join();
+}

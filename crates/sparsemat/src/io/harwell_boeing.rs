@@ -61,14 +61,16 @@ impl FortranFormat {
     }
 }
 
-/// Reads fixed-width fields from `lines`, producing `count` parsed tokens.
+/// Reads fixed-width fields from `lines`, producing `count` parsed tokens
+/// out of at most `len` bytes of input.
 fn read_fixed<R: BufRead, T: std::str::FromStr>(
     lines: &mut std::io::Lines<R>,
     fmt: FortranFormat,
     count: usize,
+    len: u64,
     what: &str,
 ) -> Result<Vec<T>> {
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::with_capacity(super::capacity_for(count, len));
     while out.len() < count {
         let line = lines
             .next()
@@ -102,15 +104,17 @@ fn read_fixed<R: BufRead, T: std::str::FromStr>(
 /// Reads a Harwell–Boeing file from a path.
 pub fn read_harwell_boeing(path: impl AsRef<Path>) -> Result<CsrMatrix> {
     let file = std::fs::File::open(path)?;
-    read_harwell_boeing_reader(BufReader::new(file))
+    let len = file.metadata()?.len();
+    read_harwell_boeing_reader(BufReader::new(file), len)
 }
 
 /// Reads a Harwell–Boeing matrix from an in-memory string.
 pub fn read_harwell_boeing_str(s: &str) -> Result<CsrMatrix> {
-    read_harwell_boeing_reader(BufReader::new(s.as_bytes()))
+    read_harwell_boeing_reader(BufReader::new(s.as_bytes()), s.len() as u64)
 }
 
-fn read_harwell_boeing_reader<R: Read>(reader: BufReader<R>) -> Result<CsrMatrix> {
+/// Parses `len` bytes of Harwell–Boeing text.
+fn read_harwell_boeing_reader<R: Read>(reader: BufReader<R>, len: u64) -> Result<CsrMatrix> {
     let mut lines = reader.lines();
     let _title = lines
         .next()
@@ -201,13 +205,17 @@ fn read_harwell_boeing_reader<R: Read>(reader: BufReader<R>) -> Result<CsrMatrix
             .ok_or_else(|| SparseError::Parse("missing HB line 5".into()))??;
     }
 
-    let colptr: Vec<usize> = read_fixed(&mut lines, ptrfmt, ncol + 1, "column pointers")?;
-    let rowind: Vec<usize> = read_fixed(&mut lines, indfmt, nnzero, "row indices")?;
+    let ncol1 = ncol
+        .checked_add(1)
+        .ok_or_else(|| SparseError::Parse(format!("bad HB column count {ncol}")))?;
+    let colptr: Vec<usize> = read_fixed(&mut lines, ptrfmt, ncol1, len, "column pointers")?;
+    let rowind: Vec<usize> = read_fixed(&mut lines, indfmt, nnzero, len, "row indices")?;
+    // From here on `nnzero` is bounded by the row indices actually read.
     let values: Vec<f64> = if value_kind == b'P' {
-        vec![1.0; nnzero]
+        vec![1.0; rowind.len()]
     } else {
         let valfmt = FortranFormat::parse(&valfmt_s)?;
-        read_fixed(&mut lines, valfmt, nnzero, "values")?
+        read_fixed(&mut lines, valfmt, nnzero, len, "values")?
     };
 
     if colptr[0] != 1 || colptr[ncol] != nnzero + 1 {
@@ -217,6 +225,9 @@ fn read_harwell_boeing_reader<R: Read>(reader: BufReader<R>) -> Result<CsrMatrix
             colptr[ncol],
             nnzero + 1
         )));
+    }
+    if colptr.windows(2).any(|w| w[0] > w[1]) {
+        return Err(SparseError::Parse("HB column pointers decrease".into()));
     }
 
     let mut coo = CooMatrix::with_capacity(nrow, ncol, 2 * nnzero);
@@ -450,6 +461,38 @@ mod tests {
         let mut s2 = tiny_rsa();
         s2 = s2.replacen("RSA", "RSE", 1);
         assert!(read_harwell_boeing_str(&s2).is_err());
+    }
+
+    /// A pattern (`PSA`) header declaring `dims`, followed by `body`.
+    fn psa_with(dims: &str, body: &str) -> String {
+        let mut s = format!("{:<72}{:<8}\n", "lying header", "LIE");
+        s.push_str(&format!("{:>14}{:>14}{:>14}{:>14}\n", 2, 1, 1, 0));
+        s.push_str(&format!("PSA{:>11}{dims}\n", ""));
+        s.push_str(&format!("{:<16}{:<16}\n", "(16I5)", "(16I5)"));
+        s.push_str(body);
+        s
+    }
+
+    #[test]
+    fn header_counts_cannot_size_allocations() {
+        // Each declared count would ask for terabytes up front; the reader
+        // must run out of input and fail instead of aborting on allocation.
+        let huge = 100_000_000_000_000usize;
+        for dims in [
+            format!("{:>14}{:>14}{:>14}", 1, 1, huge),
+            format!("{:>14}{:>14}{:>14}", 1, huge, 1),
+            format!("{:>14}{:>14}{:>14}", 1, usize::MAX, 1),
+        ] {
+            let s = psa_with(&dims, "    1    2\n    1\n");
+            assert!(read_harwell_boeing_str(&s).is_err(), "{dims}");
+        }
+    }
+
+    #[test]
+    fn reject_decreasing_column_pointers() {
+        let dims = format!("{:>14}{:>14}{:>14}", 2, 2, 2);
+        let s = psa_with(&dims, "    1    4    3\n    1    2\n");
+        assert!(read_harwell_boeing_str(&s).is_err());
     }
 
     #[test]

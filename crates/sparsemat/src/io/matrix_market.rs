@@ -26,15 +26,17 @@ enum Symmetry {
 /// Reads a MatrixMarket file from a path.
 pub fn read_matrix_market(path: impl AsRef<Path>) -> Result<CsrMatrix> {
     let file = std::fs::File::open(path)?;
-    read_matrix_market_reader(BufReader::new(file))
+    let len = file.metadata()?.len();
+    read_matrix_market_reader(BufReader::new(file), len)
 }
 
 /// Reads a MatrixMarket matrix from an in-memory string.
 pub fn read_matrix_market_str(s: &str) -> Result<CsrMatrix> {
-    read_matrix_market_reader(BufReader::new(s.as_bytes()))
+    read_matrix_market_reader(BufReader::new(s.as_bytes()), s.len() as u64)
 }
 
-fn read_matrix_market_reader<R: Read>(reader: BufReader<R>) -> Result<CsrMatrix> {
+/// Parses `len` bytes of MatrixMarket text.
+fn read_matrix_market_reader<R: Read>(reader: BufReader<R>, len: u64) -> Result<CsrMatrix> {
     let mut lines = reader.lines();
     let header = lines
         .next()
@@ -100,7 +102,8 @@ fn read_matrix_market_reader<R: Read>(reader: BufReader<R>) -> Result<CsrMatrix>
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
 
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, 2 * nnz);
+    let cap = super::capacity_for(nnz.saturating_mul(2), len);
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, cap);
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -258,6 +261,15 @@ mod tests {
     fn reject_wrong_count() {
         let s = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
         assert!(read_matrix_market_str(s).is_err());
+    }
+
+    #[test]
+    fn header_entry_count_cannot_size_allocations() {
+        // A 20-byte size line must not reserve room for 2·10¹⁴ entries.
+        for nnz in ["100000000000000", "18446744073709551615"] {
+            let s = format!("%%MatrixMarket matrix coordinate pattern symmetric\n1 1 {nnz}\n1 1\n");
+            assert!(read_matrix_market_str(&s).is_err(), "{nnz}");
+        }
     }
 
     #[test]

@@ -13,6 +13,14 @@ pub mod chaco;
 pub mod harwell_boeing;
 pub mod matrix_market;
 
+/// Capacity to reserve for `declared` entries a header announces: no more
+/// than `input_len` bytes of text can hold at one entry per two bytes (a
+/// digit and a separator), so a header that lies cannot make a reader
+/// reserve memory the payload could never fill.
+pub(crate) fn capacity_for(declared: usize, input_len: u64) -> usize {
+    declared.min(usize::try_from(input_len / 2 + 1).unwrap_or(usize::MAX))
+}
+
 pub use chaco::{read_chaco, read_chaco_str, write_chaco, write_chaco_string};
 pub use harwell_boeing::{read_harwell_boeing, read_harwell_boeing_str};
 pub use matrix_market::{

@@ -77,6 +77,19 @@ impl SymmetricPattern {
         Ok(SymmetricPattern { n, xadj, adjncy })
     }
 
+    /// Wraps CSR arrays that already hold the invariants (readers that
+    /// normalize and check rows as they build them use this to skip
+    /// [`from_adjacency`](Self::from_adjacency)'s second pass).
+    pub(crate) fn from_normalized(n: usize, xadj: Vec<usize>, adjncy: Vec<usize>) -> Self {
+        debug_assert!(xadj.len() == n + 1 && xadj.last() == Some(&adjncy.len()));
+        let pat = SymmetricPattern { n, xadj, adjncy };
+        debug_assert!((0..n).all(|v| {
+            let row = pat.neighbors(v);
+            row.windows(2).all(|w| w[0] < w[1]) && row.iter().all(|&u| u != v && pat.has_edge(u, v))
+        }));
+        pat
+    }
+
     /// Builds directly from CSR-style adjacency arrays (validated).
     pub fn from_adjacency(n: usize, xadj: Vec<usize>, adjncy: Vec<usize>) -> Result<Self> {
         if xadj.len() != n + 1 || xadj[0] != 0 || *xadj.last().unwrap() != adjncy.len() {
