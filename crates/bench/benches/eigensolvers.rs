@@ -7,6 +7,7 @@ use se_eigen::lanczos::LanczosOptions;
 use se_eigen::lobpcg::{lobpcg_smallest, LobpcgOptions};
 use se_eigen::multilevel::{fiedler, fiedler_lanczos, FiedlerOptions};
 use se_eigen::op::{constant_unit_vector, LaplacianOp};
+use se_eigen::SolverOpts;
 
 fn main() {
     let runner = Runner::new("fiedler");
@@ -43,6 +44,7 @@ fn main() {
                         max_iter: 600,
                         ..Default::default()
                     },
+                    &SolverOpts::default(),
                 )
                 .expect("connected")
             });

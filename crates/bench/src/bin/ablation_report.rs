@@ -30,6 +30,7 @@ fn main() {
             tol: 1e-12,
             ..Default::default()
         },
+        &se_eigen::SolverOpts::default(),
     )
     .expect("connected")
     .lambda2;

@@ -112,10 +112,10 @@ pub fn reorder(a: &CsrMatrix, alg: Algorithm) -> Result<Reordered> {
     reorder_with(a, alg, &SolverOpts::default())
 }
 
-/// [`reorder`] with an explicit solver configuration — tolerances, iteration
-/// caps and, most importantly, `threads`: with the `parallel` feature the
-/// whole Fiedler pipeline runs on one shared thread pool. Results are
-/// bit-identical for every thread count.
+/// [`reorder`] with an explicit solve context — its thread pool, tracer,
+/// budget and fault plane: with the `parallel` feature the whole Fiedler
+/// pipeline runs on `solver.pool`. Results are bit-identical for every
+/// thread count.
 pub fn reorder_with(a: &CsrMatrix, alg: Algorithm, solver: &SolverOpts) -> Result<Reordered> {
     let pattern = a.pattern()?;
     let ordering = se_order::order_with(&pattern, alg, solver)?;

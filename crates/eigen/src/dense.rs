@@ -313,7 +313,14 @@ mod tests {
         let full = dense.eigh().unwrap();
         let lop = LaplacianOp::new(&g);
         let deflate = vec![constant_unit_vector(12)];
-        let lz = lanczos_smallest(&lop, &deflate, 1, &LanczosOptions::default()).unwrap();
+        let lz = lanczos_smallest(
+            &lop,
+            &deflate,
+            1,
+            &LanczosOptions::default(),
+            &crate::SolverOpts::default(),
+        )
+        .unwrap();
         // full.values[0] ≈ 0 (constant vector); λ₂ = full.values[1].
         assert!(full.values[0].abs() < 1e-10);
         assert!(

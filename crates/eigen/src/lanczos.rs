@@ -13,10 +13,9 @@ use crate::solver_opts::{
     DEFAULT_LANCZOS_TOL,
 };
 use crate::tridiag::eigh_tridiag;
-use crate::{EigenError, Result};
-use se_faults::{sites, Budget, FaultPlane};
+use crate::{EigenError, Result, SolverOpts};
+use se_faults::sites;
 use se_prng::SmallRng;
-use se_trace::Tracer;
 use sparsemat::par::TaskPool;
 
 /// Options controlling the Lanczos iteration.
@@ -30,19 +29,6 @@ pub struct LanczosOptions {
     pub seed: u64,
     /// How often (in steps) to test convergence.
     pub check_every: usize,
-    /// Pool for matvecs, dot products and reorthogonalization. Results are
-    /// bit-identical for every thread count (deterministic reductions);
-    /// default is serial.
-    pub pool: TaskPool,
-    /// Span recorder; disabled by default. Records a `lanczos` span with
-    /// the problem size, step and matvec counts.
-    pub trace: Tracer,
-    /// Cooperative budget checked at the top of every Lanczos step; an
-    /// exhausted budget aborts with [`EigenError::Budget`] within one step.
-    pub budget: Budget,
-    /// Fault plane: the [`sites::LANCZOS_CONVERGE`] site forces a
-    /// non-convergence report.
-    pub faults: FaultPlane,
 }
 
 impl Default for LanczosOptions {
@@ -52,10 +38,6 @@ impl Default for LanczosOptions {
             tol: DEFAULT_LANCZOS_TOL,
             seed: DEFAULT_LANCZOS_SEED,
             check_every: DEFAULT_LANCZOS_CHECK_EVERY,
-            pool: TaskPool::serial(),
-            trace: Tracer::disabled(),
-            budget: Budget::unlimited(),
-            faults: FaultPlane::disabled(),
         }
     }
 }
@@ -88,15 +70,23 @@ fn orthogonalize(w: &mut [f64], basis: &[Vec<f64>], pool: &TaskPool) {
 ///
 /// For a connected graph's Laplacian with `deflate = [1/√n]`, the smallest
 /// returned eigenpair is `(λ₂, Fiedler vector)`.
+///
+/// From `ctx`: matvecs, dot products and reorthogonalization run on the
+/// pool (bit-identical for every thread count); a `lanczos` span records
+/// the problem size, step and matvec counts; the budget is checked at the
+/// top of every step, so an exhausted one aborts with
+/// [`EigenError::Budget`] within one step; the [`sites::LANCZOS_CONVERGE`]
+/// fault site forces a non-convergence report.
 pub fn lanczos_smallest<Op: SymOp>(
     op: &Op,
     deflate: &[Vec<f64>],
     k: usize,
     opts: &LanczosOptions,
+    ctx: &SolverOpts,
 ) -> Result<LanczosResult> {
-    let mut sp = opts.trace.span("lanczos");
+    let mut sp = ctx.trace.span("lanczos");
     sp.attr("n", op.n() as f64);
-    let r = lanczos_inner(op, deflate, k, opts);
+    let r = lanczos_inner(op, deflate, k, opts, ctx);
     match &r {
         Ok(res) => {
             sp.attr("iterations", res.iterations as f64);
@@ -116,6 +106,7 @@ fn lanczos_inner<Op: SymOp>(
     deflate: &[Vec<f64>],
     k: usize,
     opts: &LanczosOptions,
+    ctx: &SolverOpts,
 ) -> Result<LanczosResult> {
     let n = op.n();
     let free_dim = n.saturating_sub(deflate.len());
@@ -123,14 +114,14 @@ fn lanczos_inner<Op: SymOp>(
         return Err(EigenError::TooSmall { n });
     }
     let kdim = opts.max_iter.min(free_dim);
-    if opts.faults.should_fail(sites::LANCZOS_CONVERGE) {
+    if ctx.faults.should_fail(sites::LANCZOS_CONVERGE) {
         return Err(EigenError::NoConvergence {
             what: "Lanczos (injected fault)",
             iters: 0,
         });
     }
     let scale = op.norm_bound();
-    let pool = &opts.pool;
+    let pool = &ctx.pool;
     let mut rng = SmallRng::seed_from_u64(opts.seed);
 
     // Random start vector in the deflated subspace.
@@ -201,14 +192,14 @@ fn lanczos_inner<Op: SymOp>(
     };
 
     for j in 0..kdim {
-        if let Err(cause) = opts.budget.check() {
+        if let Err(cause) = ctx.budget.check() {
             return Err(EigenError::Budget {
                 stage: "lanczos",
                 cause,
             });
         }
         op.apply_pooled(&basis[j], &mut w, pool);
-        opts.budget.charge_matvecs(1);
+        ctx.budget.charge_matvecs(1);
         let a_j = pool.dot(&basis[j], &w);
         alpha.push(a_j);
         // Three-term recurrence, then full reorthogonalization (twice —
@@ -305,6 +296,17 @@ mod tests {
         SymmetricPattern::from_edges(nx * ny, &edges).unwrap()
     }
 
+    /// Default options in the default (serial, untraced) context.
+    fn smallest<Op: SymOp>(op: &Op, deflate: &[Vec<f64>], k: usize) -> Result<LanczosResult> {
+        lanczos_smallest(
+            op,
+            deflate,
+            k,
+            &LanczosOptions::default(),
+            &SolverOpts::default(),
+        )
+    }
+
     fn path_lambda2(n: usize) -> f64 {
         2.0 - 2.0 * (std::f64::consts::PI / n as f64).cos()
     }
@@ -314,7 +316,7 @@ mod tests {
         let a = CsrMatrix::from_entries(4, &[(0, 0, 4.0), (1, 1, 1.0), (2, 2, 3.0), (3, 3, 2.0)])
             .unwrap();
         let op = CsrOp::new(&a);
-        let r = lanczos_smallest(&op, &[], 2, &LanczosOptions::default()).unwrap();
+        let r = smallest(&op, &[], 2).unwrap();
         assert!((r.values[0] - 1.0).abs() < 1e-9);
         assert!((r.values[1] - 2.0).abs() < 1e-9);
         assert!(r.vectors[0][1].abs() > 0.99);
@@ -326,7 +328,7 @@ mod tests {
         let g = path(n);
         let lop = LaplacianOp::new(&g);
         let deflate = vec![constant_unit_vector(n)];
-        let r = lanczos_smallest(&lop, &deflate, 1, &LanczosOptions::default()).unwrap();
+        let r = smallest(&lop, &deflate, 1).unwrap();
         assert!(
             (r.values[0] - path_lambda2(n)).abs() < 1e-8,
             "{}",
@@ -348,7 +350,7 @@ mod tests {
         let g = grid(nx, ny);
         let lop = LaplacianOp::new(&g);
         let deflate = vec![constant_unit_vector(nx * ny)];
-        let r = lanczos_smallest(&lop, &deflate, 1, &LanczosOptions::default()).unwrap();
+        let r = smallest(&lop, &deflate, 1).unwrap();
         let exact = path_lambda2(nx).min(path_lambda2(ny));
         assert!((r.values[0] - exact).abs() < 1e-8);
     }
@@ -359,7 +361,7 @@ mod tests {
         let g = cycle(n);
         let lop = LaplacianOp::new(&g);
         let deflate = vec![constant_unit_vector(n)];
-        let r = lanczos_smallest(&lop, &deflate, 2, &LanczosOptions::default()).unwrap();
+        let r = smallest(&lop, &deflate, 2).unwrap();
         let exact = 2.0 - 2.0 * (2.0 * std::f64::consts::PI / n as f64).cos();
         let lam3 = 2.0 - 2.0 * (4.0 * std::f64::consts::PI / n as f64).cos();
         // λ₂ has multiplicity 2 on a cycle. A single Krylov sequence sees one
@@ -386,7 +388,7 @@ mod tests {
         let g = SymmetricPattern::from_edges(n, &edges).unwrap();
         let lop = LaplacianOp::new(&g);
         let deflate = vec![constant_unit_vector(n)];
-        let r = lanczos_smallest(&lop, &deflate, 1, &LanczosOptions::default()).unwrap();
+        let r = smallest(&lop, &deflate, 1).unwrap();
         assert!((r.values[0] - n as f64).abs() < 1e-8);
     }
 
@@ -395,7 +397,7 @@ mod tests {
         let g = grid(6, 6);
         let lop = LaplacianOp::new(&g);
         let deflate = vec![constant_unit_vector(36)];
-        let r = lanczos_smallest(&lop, &deflate, 1, &LanczosOptions::default()).unwrap();
+        let r = smallest(&lop, &deflate, 1).unwrap();
         let v = &r.vectors[0];
         let av = lop.apply_alloc(v);
         let res: f64 = av
@@ -415,7 +417,7 @@ mod tests {
         let g = path(5);
         let lop = LaplacianOp::new(&g);
         assert!(matches!(
-            lanczos_smallest(&lop, &[], 0, &LanczosOptions::default()),
+            smallest(&lop, &[], 0),
             Err(EigenError::TooSmall { .. })
         ));
     }
@@ -426,7 +428,7 @@ mod tests {
         let lop = LaplacianOp::new(&g);
         let deflate = vec![constant_unit_vector(3)];
         assert!(matches!(
-            lanczos_smallest(&lop, &deflate, 3, &LanczosOptions::default()),
+            smallest(&lop, &deflate, 3),
             Err(EigenError::TooSmall { .. })
         ));
     }
@@ -437,8 +439,8 @@ mod tests {
         let lop = LaplacianOp::new(&g);
         let deflate = vec![constant_unit_vector(20)];
         let o = LanczosOptions::default();
-        let r1 = lanczos_smallest(&lop, &deflate, 1, &o).unwrap();
-        let r2 = lanczos_smallest(&lop, &deflate, 1, &o).unwrap();
+        let r1 = lanczos_smallest(&lop, &deflate, 1, &o, &SolverOpts::default()).unwrap();
+        let r2 = lanczos_smallest(&lop, &deflate, 1, &o, &SolverOpts::default()).unwrap();
         assert_eq!(r1.values[0].to_bits(), r2.values[0].to_bits());
     }
 
@@ -453,7 +455,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            lanczos_smallest(&lop, &deflate, 1, &opts),
+            lanczos_smallest(&lop, &deflate, 1, &opts, &SolverOpts::default()),
             Err(EigenError::NoConvergence { .. })
         ));
     }
@@ -469,7 +471,7 @@ mod tests {
             max_iter: n,
             ..Default::default()
         };
-        let r = lanczos_smallest(&lop, &deflate, 3, &opts).unwrap();
+        let r = lanczos_smallest(&lop, &deflate, 3, &opts, &SolverOpts::default()).unwrap();
         for (k, &v) in r.values.iter().enumerate() {
             let exact = 2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / n as f64).cos();
             assert!((v - exact).abs() < 1e-9, "λ_{k}: {v} vs {exact}");

@@ -261,7 +261,14 @@ mod tests {
         let g = grid(12, 9);
         let lop = LaplacianOp::new(&g);
         let deflate = vec![constant_unit_vector(108)];
-        let lz = lanczos_smallest(&lop, &deflate, 1, &LanczosOptions::default()).unwrap();
+        let lz = lanczos_smallest(
+            &lop,
+            &deflate,
+            1,
+            &LanczosOptions::default(),
+            &crate::SolverOpts::default(),
+        )
+        .unwrap();
         let lb = lobpcg_smallest(&lop, &deflate, None, &LobpcgOptions::default()).unwrap();
         assert!(
             (lz.values[0] - lb.value).abs() < 1e-6,

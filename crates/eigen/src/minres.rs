@@ -9,8 +9,7 @@
 
 use crate::op::SymOp;
 use crate::solver_opts::{DEFAULT_MINRES_MAX_ITER, DEFAULT_MINRES_RTOL};
-use se_faults::Budget;
-use sparsemat::par::TaskPool;
+use crate::SolverOpts;
 
 /// Options for [`minres`].
 #[derive(Debug, Clone)]
@@ -19,12 +18,6 @@ pub struct MinresOptions {
     pub max_iter: usize,
     /// Relative residual tolerance: stop when `‖r‖ ≤ rtol · ‖b‖`.
     pub rtol: f64,
-    /// Pool for matvecs and dot products. Results are bit-identical for
-    /// every thread count; default is serial.
-    pub pool: TaskPool,
-    /// Cooperative budget checked once per iteration. An exhausted budget
-    /// breaks out with the best iterate so far (`converged == false`).
-    pub budget: Budget,
 }
 
 impl Default for MinresOptions {
@@ -32,8 +25,6 @@ impl Default for MinresOptions {
         MinresOptions {
             max_iter: DEFAULT_MINRES_MAX_ITER,
             rtol: DEFAULT_MINRES_RTOL,
-            pool: TaskPool::serial(),
-            budget: Budget::unlimited(),
         }
     }
 }
@@ -52,10 +43,19 @@ pub struct MinresOutcome {
 }
 
 /// Solves `A x = b` for symmetric `A` starting from `x₀ = 0`.
-pub fn minres<Op: SymOp>(op: &Op, b: &[f64], opts: &MinresOptions) -> MinresOutcome {
+///
+/// Matvecs and dot products run on `ctx.pool` (bit-identical for every
+/// thread count). `ctx.budget` is checked once per iteration; an exhausted
+/// budget breaks out with the best iterate so far (`converged == false`).
+pub fn minres<Op: SymOp>(
+    op: &Op,
+    b: &[f64],
+    opts: &MinresOptions,
+    ctx: &SolverOpts,
+) -> MinresOutcome {
     let n = op.n();
     assert_eq!(b.len(), n, "minres: rhs length mismatch");
-    let pool = &opts.pool;
+    let pool = &ctx.pool;
     let mut x = vec![0.0; n];
 
     let beta1 = pool.norm(b);
@@ -88,7 +88,7 @@ pub fn minres<Op: SymOp>(op: &Op, b: &[f64], opts: &MinresOptions) -> MinresOutc
     let mut converged = false;
 
     for itn in 1..=opts.max_iter {
-        if opts.budget.check().is_err() {
+        if ctx.budget.check().is_err() {
             break; // cooperative abort: keep the best iterate so far
         }
         iterations = itn;
@@ -98,7 +98,7 @@ pub fn minres<Op: SymOp>(op: &Op, b: &[f64], opts: &MinresOptions) -> MinresOutc
         }
         let mut ay = vec![0.0; n];
         op.apply_pooled(&v, &mut ay, pool);
-        opts.budget.charge_matvecs(1);
+        ctx.budget.charge_matvecs(1);
         y = ay;
         if itn >= 2 {
             let c = beta / oldb;
@@ -184,7 +184,7 @@ mod tests {
         let a = CsrMatrix::identity(5);
         let op = CsrOp::new(&a);
         let b = vec![1.0, -2.0, 3.0, 0.0, 5.0];
-        let out = minres(&op, &b, &MinresOptions::default());
+        let out = minres(&op, &b, &MinresOptions::default(), &SolverOpts::default());
         assert!(out.converged);
         for (xi, bi) in out.x.iter().zip(&b) {
             assert!((xi - bi).abs() < 1e-9);
@@ -211,7 +211,7 @@ mod tests {
         .unwrap();
         let op = CsrOp::new(&a);
         let b = vec![1.0, 0.0, 0.0, 1.0];
-        let out = minres(&op, &b, &MinresOptions::default());
+        let out = minres(&op, &b, &MinresOptions::default(), &SolverOpts::default());
         assert!(out.converged);
         assert!(residual(&op, &out.x, &b) < 1e-8);
     }
@@ -223,7 +223,7 @@ mod tests {
             .unwrap();
         let op = CsrOp::new(&a);
         let b = vec![2.0, 1.0, -3.0, 8.0];
-        let out = minres(&op, &b, &MinresOptions::default());
+        let out = minres(&op, &b, &MinresOptions::default(), &SolverOpts::default());
         assert!(out.converged);
         assert_eq!(
             out.x
@@ -238,7 +238,12 @@ mod tests {
     fn zero_rhs() {
         let a = CsrMatrix::identity(3);
         let op = CsrOp::new(&a);
-        let out = minres(&op, &[0.0; 3], &MinresOptions::default());
+        let out = minres(
+            &op,
+            &[0.0; 3],
+            &MinresOptions::default(),
+            &SolverOpts::default(),
+        );
         assert!(out.converged);
         assert_eq!(out.iterations, 0);
         assert_eq!(out.x, vec![0.0; 3]);
@@ -270,8 +275,8 @@ mod tests {
             &MinresOptions {
                 max_iter: 100,
                 rtol: 1e-6,
-                ..Default::default()
             },
+            &SolverOpts::default(),
         );
         // Solution must be finite and large (near-singular system).
         assert!(out.x.iter().all(|v| v.is_finite()));
@@ -305,8 +310,8 @@ mod tests {
             &MinresOptions {
                 max_iter: 5,
                 rtol: 1e-14,
-                ..Default::default()
             },
+            &SolverOpts::default(),
         );
         assert_eq!(out.iterations, 5);
         assert!(!out.converged);
@@ -328,7 +333,7 @@ mod tests {
         .unwrap();
         let op = CsrOp::new(&a);
         let b = vec![1.0, 1.0, 1.0];
-        let out = minres(&op, &b, &MinresOptions::default());
+        let out = minres(&op, &b, &MinresOptions::default(), &SolverOpts::default());
         assert!(out.converged);
         assert!(out.iterations <= 4);
         assert!(residual(&op, &out.x, &b) < 1e-8);

@@ -17,7 +17,7 @@ use crate::lanczos::{lanczos_smallest, LanczosOptions};
 use crate::op::{constant_unit_vector, LaplacianOp, SymOp};
 use crate::rqi::{rayleigh_quotient_iteration, RqiOptions};
 use crate::solver_opts::{DEFAULT_COARSEST_SIZE, DEFAULT_FIEDLER_TOL, DEFAULT_SMOOTH_STEPS};
-use crate::{EigenError, Result};
+use crate::{EigenError, Result, SolverOpts};
 use se_faults::{sites, Budget, FaultPlane};
 use se_graph::bfs::connected_components;
 use se_graph::coarsen::CoarsenLevels;
@@ -25,7 +25,9 @@ use se_trace::{Tracer, WorkerCounter};
 use sparsemat::par::TaskPool;
 use sparsemat::SymmetricPattern;
 
-/// Options for the multilevel Fiedler solver.
+/// Options for the multilevel Fiedler solver: its numbers plus the four
+/// solve-context handles, which [`fiedler`] gathers into one
+/// [`SolverOpts`] ([`FiedlerOptions::context`]) and lends to every stage.
 #[derive(Debug, Clone)]
 pub struct FiedlerOptions {
     /// Stop coarsening below this many vertices (paper: ~100).
@@ -48,25 +50,18 @@ pub struct FiedlerOptions {
     /// RQI options for per-level refinement.
     pub rqi: RqiOptions,
     /// Pool shared by **every** stage — coarsening, the coarsest Lanczos
-    /// solve, interpolation, smoothing and RQI/MINRES refinement. Inside
-    /// [`fiedler`] this pool overrides the pools on `lanczos` and `rqi`, so
-    /// setting it is the single thread knob. Results are bit-identical for
-    /// every thread count; default is serial. Build via
-    /// [`crate::SolverOpts`] to configure a thread count in one place.
+    /// solve, interpolation, smoothing and RQI/MINRES refinement. Results
+    /// are bit-identical for every thread count; default is serial.
     pub pool: TaskPool,
-    /// Span recorder threaded through every stage. Like `pool`, inside
-    /// [`fiedler`] this tracer overrides the tracers on `lanczos` and `rqi`.
-    /// Disabled by default; tracing never changes numerical results.
+    /// Span recorder threaded through every stage. Disabled by default;
+    /// tracing never changes numerical results.
     pub trace: Tracer,
     /// Cooperative budget checked at every stage boundary — before the
     /// hierarchy build, before the coarsest solve, and at the top of every
-    /// refinement level — plus inside Lanczos/RQI/MINRES iterations. Like
-    /// `pool`, inside [`fiedler`] this budget overrides the budgets on
-    /// `lanczos` and `rqi`. [`Budget::unlimited`] (the default) is a strict
-    /// no-op.
+    /// refinement level — plus inside Lanczos/RQI/MINRES iterations.
+    /// [`Budget::unlimited`] (the default) is a strict no-op.
     pub budget: Budget,
-    /// Deterministic fault plane; like `pool`, inside [`fiedler`] it
-    /// overrides the planes on `lanczos` and `rqi`. The
+    /// Deterministic fault plane of every stage. The
     /// [`sites::ALLOC_BUDGET`] site simulates an allocation-budget breach
     /// before the hierarchy is built.
     pub faults: FaultPlane,
@@ -88,6 +83,19 @@ impl Default for FiedlerOptions {
             trace: Tracer::disabled(),
             budget: Budget::unlimited(),
             faults: FaultPlane::disabled(),
+        }
+    }
+}
+
+impl FiedlerOptions {
+    /// The solve context these options carry: clones of the four handles,
+    /// sharing the same pool workers, trace tree, budget and fault plane.
+    pub fn context(&self) -> SolverOpts {
+        SolverOpts {
+            pool: self.pool.clone(),
+            trace: self.trace.clone(),
+            budget: self.budget.clone(),
+            faults: self.faults.clone(),
         }
     }
 }
@@ -122,11 +130,15 @@ pub struct FiedlerResult {
 /// Computes the Fiedler pair by Lanczos directly (no multilevel). Exact but
 /// slow on large graphs; the reference the multilevel method is tested
 /// against.
-pub fn fiedler_lanczos(g: &SymmetricPattern, opts: &LanczosOptions) -> Result<FiedlerResult> {
+pub fn fiedler_lanczos(
+    g: &SymmetricPattern,
+    opts: &LanczosOptions,
+    ctx: &SolverOpts,
+) -> Result<FiedlerResult> {
     check_connected(g)?;
     let lap = LaplacianOp::new(g);
     let deflate = vec![constant_unit_vector(g.n())];
-    let r = lanczos_smallest(&lap, &deflate, 1, opts)?;
+    let r = lanczos_smallest(&lap, &deflate, 1, opts, ctx)?;
     let v = r.vectors.into_iter().next().expect("k = 1");
     let lam = r.values[0];
     let residual = eigen_residual(&lap, &v, lam);
@@ -144,8 +156,9 @@ pub fn fiedler_lanczos(g: &SymmetricPattern, opts: &LanczosOptions) -> Result<Fi
 /// returned for a connected graph.
 pub fn fiedler(g: &SymmetricPattern, opts: &FiedlerOptions) -> Result<FiedlerResult> {
     check_connected(g)?;
-    let pool = &opts.pool;
-    let trace = &opts.trace;
+    let ctx = opts.context();
+    let pool = &ctx.pool;
+    let trace = &ctx.trace;
     let mut sp = trace.span("fiedler");
     sp.attr("n", g.n() as f64);
     // Scheduler-health deltas for this solve. Unlike the WorkerCounter
@@ -153,44 +166,26 @@ pub fn fiedler(g: &SymmetricPattern, opts: &FiedlerOptions) -> Result<FiedlerRes
     // the *schedule* and legitimately vary run to run; they are recorded as
     // span attrs, never asserted invariant.
     let pool_stats0 = pool.stats();
-    // One pool (and one tracer) drives every stage: propagate both into the
-    // sub-options.
-    let mut lanczos_opts = opts.lanczos.clone();
-    lanczos_opts.pool = pool.clone();
-    lanczos_opts.trace = trace.clone();
-    lanczos_opts.budget = opts.budget.clone();
-    lanczos_opts.faults = opts.faults.clone();
-    let mut rqi_opts = opts.rqi.clone();
-    rqi_opts.pool = pool.clone();
-    rqi_opts.trace = trace.clone();
-    rqi_opts.budget = opts.budget.clone();
-    rqi_opts.faults = opts.faults.clone();
     if g.n() <= opts.coarsest_size.max(2) {
         sp.attr("levels", 0.0);
-        return fiedler_lanczos(g, &lanczos_opts);
+        return fiedler_lanczos(g, &opts.lanczos, &ctx);
     }
-    if opts.faults.should_fail(sites::ALLOC_BUDGET) {
+    if ctx.faults.should_fail(sites::ALLOC_BUDGET) {
         return Err(EigenError::Fault {
             site: sites::ALLOC_BUDGET,
         });
     }
-    if let Err(cause) = opts.budget.check() {
+    if let Err(cause) = ctx.budget.check() {
         return Err(EigenError::Budget {
             stage: "multilevel",
             cause,
         });
     }
-    let hierarchy = CoarsenLevels::build_guarded(
-        g,
-        opts.coarsest_size,
-        pool,
-        trace,
-        &opts.budget,
-        &opts.faults,
-    );
+    let hierarchy =
+        CoarsenLevels::build_guarded(g, opts.coarsest_size, pool, trace, &ctx.budget, &ctx.faults);
     if hierarchy.depth() == 0 {
         sp.attr("levels", 0.0);
-        return fiedler_lanczos(g, &lanczos_opts);
+        return fiedler_lanczos(g, &opts.lanczos, &ctx);
     }
     sp.attr("levels", hierarchy.depth() as f64);
 
@@ -200,7 +195,7 @@ pub fn fiedler(g: &SymmetricPattern, opts: &FiedlerOptions) -> Result<FiedlerRes
     // `PᵀLP x = λ PᵀP x` with `PᵀP = diag(domain sizes)`; we solve the
     // symmetrically scaled standard form `D^{-1/2} PᵀLP D^{-1/2} y = λ y`
     // and map back `x = D^{-1/2} y` (null vector `D^{1/2}·1`).
-    if let Err(cause) = opts.budget.check() {
+    if let Err(cause) = ctx.budget.check() {
         sp.attr("budget_abort", 1.0);
         return Err(EigenError::Budget {
             stage: "multilevel",
@@ -241,20 +236,20 @@ pub fn fiedler(g: &SymmetricPattern, opts: &FiedlerOptions) -> Result<FiedlerRes
         let total: f64 = sizes.iter().sum();
         let null: Vec<f64> = half.iter().map(|&h| h / total.sqrt()).collect();
         let deflate = vec![null];
-        let r = lanczos_smallest(&op, &deflate, 1, &lanczos_opts)?;
+        let r = lanczos_smallest(&op, &deflate, 1, &opts.lanczos, &ctx)?;
         let y = r.vectors.into_iter().next().expect("k = 1");
         // Back to the coarse vertex basis.
         y.iter().zip(&half).map(|(yi, h)| yi / h).collect()
     } else {
         let coarsest = hierarchy.coarsest().expect("depth >= 1");
-        fiedler_lanczos(coarsest, &lanczos_opts)?.vector
+        fiedler_lanczos(coarsest, &opts.lanczos, &ctx)?.vector
     };
     drop(coarsest_sp);
 
     // Walk back up: levels[k] maps (graph at level k) -> (graph at k+1).
     // The graph at level k is `g` for k = 0 else levels[k-1].coarse.
     for k in (0..hierarchy.depth()).rev() {
-        if let Err(cause) = opts.budget.check() {
+        if let Err(cause) = ctx.budget.check() {
             sp.attr("budget_abort", 1.0);
             return Err(EigenError::Budget {
                 stage: "multilevel",
@@ -289,7 +284,7 @@ pub fn fiedler(g: &SymmetricPattern, opts: &FiedlerOptions) -> Result<FiedlerRes
         }
         let lap = LaplacianOp::new(fine);
         let rq_before = lap.rayleigh_quotient(&xf);
-        let refined = rayleigh_quotient_iteration(&lap, &xf, &rqi_opts);
+        let refined = rayleigh_quotient_iteration(&lap, &xf, &opts.rqi, &ctx);
         // RQI converges to the eigenvalue *nearest* the starting Rayleigh
         // quotient — with a good interpolant that is λ₂, and the quotient
         // can only drop. If it rose, RQI locked onto an interior eigenpair
@@ -319,7 +314,7 @@ pub fn fiedler(g: &SymmetricPattern, opts: &FiedlerOptions) -> Result<FiedlerRes
     sp.attr("pool_parks", (pool_stats.parks - pool_stats0.parks) as f64);
     let acceptable = residual <= opts.tol.max(1e-6) * lap.norm_bound() * 10.0;
     if !acceptable {
-        if let Ok(fallback) = fiedler_lanczos(g, &lanczos_opts) {
+        if let Ok(fallback) = fiedler_lanczos(g, &opts.lanczos, &ctx) {
             if fallback.residual < residual {
                 return Ok(FiedlerResult {
                     levels: hierarchy.depth(),
@@ -340,14 +335,18 @@ pub fn fiedler(g: &SymmetricPattern, opts: &FiedlerOptions) -> Result<FiedlerRes
 /// matrix (edge weights `|a_uv|`), by Lanczos with deflation. The adjacency
 /// structure must be connected. Useful when the matrix's magnitudes carry
 /// geometric information the structural ordering should respect.
-pub fn fiedler_weighted(a: &sparsemat::CsrMatrix, opts: &LanczosOptions) -> Result<FiedlerResult> {
+pub fn fiedler_weighted(
+    a: &sparsemat::CsrMatrix,
+    opts: &LanczosOptions,
+    ctx: &SolverOpts,
+) -> Result<FiedlerResult> {
     let g = a
         .pattern()
         .map_err(|e| EigenError::Numerical(format!("matrix not symmetric: {e}")))?;
     check_connected(&g)?;
     let wop = crate::op::WeightedLaplacianOp::from_matrix(a);
     let deflate = vec![constant_unit_vector(g.n())];
-    let r = lanczos_smallest(&wop, &deflate, 1, opts)?;
+    let r = lanczos_smallest(&wop, &deflate, 1, opts, ctx)?;
     let v = r.vectors.into_iter().next().expect("k = 1");
     let lam = r.values[0];
     // Residual relative to the weighted operator.
@@ -482,7 +481,7 @@ mod tests {
         let g = grid(90, 80);
         let base = fiedler(&g, &FiedlerOptions::default()).unwrap();
         for threads in [2, 4, 8] {
-            let opts = crate::SolverOpts::with_threads(threads).fiedler_options();
+            let opts = SolverOpts::with_threads(threads).fiedler_options();
             let r = fiedler(&g, &opts).unwrap();
             assert_eq!(
                 r.lambda2.to_bits(),
@@ -559,7 +558,8 @@ mod tests {
             },
         )
         .unwrap();
-        let direct = fiedler_lanczos(&g, &LanczosOptions::default()).unwrap();
+        let direct =
+            fiedler_lanczos(&g, &LanczosOptions::default(), &SolverOpts::default()).unwrap();
         assert!(
             (ml.lambda2 - direct.lambda2).abs() < 1e-6,
             "{} vs {}",
@@ -593,7 +593,7 @@ mod tests {
             Err(EigenError::Disconnected)
         ));
         assert!(matches!(
-            fiedler_lanczos(&g, &LanczosOptions::default()),
+            fiedler_lanczos(&g, &LanczosOptions::default(), &SolverOpts::default()),
             Err(EigenError::Disconnected)
         ));
     }
@@ -618,8 +618,8 @@ mod tests {
     fn weighted_fiedler_with_unit_weights_matches_structural() {
         let g = grid(12, 7);
         let a = g.to_csr_with(|v| g.degree(v) as f64, -1.0);
-        let w = fiedler_weighted(&a, &Default::default()).unwrap();
-        let s = fiedler_lanczos(&g, &Default::default()).unwrap();
+        let w = fiedler_weighted(&a, &Default::default(), &SolverOpts::default()).unwrap();
+        let s = fiedler_lanczos(&g, &Default::default(), &SolverOpts::default()).unwrap();
         assert!(
             (w.lambda2 - s.lambda2).abs() < 1e-7,
             "{} vs {}",
@@ -645,7 +645,7 @@ mod tests {
             entries.push((v, v, 2.0));
         }
         let a = sparsemat::CsrMatrix::from_entries(n, &entries).unwrap();
-        let w = fiedler_weighted(&a, &Default::default()).unwrap();
+        let w = fiedler_weighted(&a, &Default::default(), &SolverOpts::default()).unwrap();
         // λ₂ of the weighted Laplacian is tiny (dominated by the weak edge).
         assert!(w.lambda2 < 1e-3, "λ₂ = {}", w.lambda2);
         // The vector separates the halves by sign.

@@ -12,8 +12,8 @@ use crate::op::{DeflatedOp, LaplacianOp, ShiftedOp, SymOp};
 use crate::solver_opts::{
     DEFAULT_RQI_INNER_MAX_ITER, DEFAULT_RQI_INNER_RTOL, DEFAULT_RQI_MAX_OUTER, DEFAULT_RQI_TOL,
 };
-use se_faults::{sites, Budget, FaultPlane};
-use se_trace::Tracer;
+use crate::SolverOpts;
+use se_faults::sites;
 use sparsemat::par::TaskPool;
 
 /// Options for [`rayleigh_quotient_iteration`].
@@ -27,19 +27,6 @@ pub struct RqiOptions {
     pub inner_max_iter: usize,
     /// Inner MINRES relative tolerance (loose — we only need a direction).
     pub inner_rtol: f64,
-    /// Pool shared with the inner MINRES solves and the residual algebra.
-    /// Results are bit-identical for every thread count; default is serial.
-    pub pool: TaskPool,
-    /// Span recorder; disabled by default. Records an `rqi` span with outer
-    /// and (summed) inner MINRES iteration counts and the final residual.
-    pub trace: Tracer,
-    /// Cooperative budget checked at every outer-step boundary (and inside
-    /// the inner MINRES solves); an exhausted budget stops refinement and
-    /// returns the best pair found so far.
-    pub budget: Budget,
-    /// Fault plane: the [`sites::RQI_CONVERGE`] site forces an unconverged
-    /// result.
-    pub faults: FaultPlane,
 }
 
 impl Default for RqiOptions {
@@ -49,10 +36,6 @@ impl Default for RqiOptions {
             tol: DEFAULT_RQI_TOL,
             inner_max_iter: DEFAULT_RQI_INNER_MAX_ITER,
             inner_rtol: DEFAULT_RQI_INNER_RTOL,
-            pool: TaskPool::serial(),
-            trace: Tracer::disabled(),
-            budget: Budget::unlimited(),
-            faults: FaultPlane::disabled(),
         }
     }
 }
@@ -86,16 +69,24 @@ fn normalize(x: &mut [f64], pool: &TaskPool) -> f64 {
 /// staying orthogonal to the constant vector. Converges (cubically) to the
 /// eigenvalue nearest the initial Rayleigh quotient — for a good initial
 /// vector, that is `λ₂`.
+///
+/// From `ctx`: the residual algebra and the inner MINRES solves run on the
+/// pool (bit-identical for every thread count); an `rqi` span records the
+/// outer and (summed) inner MINRES iteration counts and the final residual;
+/// the budget is checked at every outer-step boundary (and inside MINRES),
+/// and an exhausted one stops refinement with the best pair found so far;
+/// the [`sites::RQI_CONVERGE`] fault site forces an unconverged result.
 pub fn rayleigh_quotient_iteration(
     lap: &LaplacianOp<'_>,
     x0: &[f64],
     opts: &RqiOptions,
+    ctx: &SolverOpts,
 ) -> RqiResult {
     let n = lap.n();
     assert_eq!(x0.len(), n, "rqi: start vector length mismatch");
-    let mut sp = opts.trace.span("rqi");
+    let mut sp = ctx.trace.span("rqi");
     sp.attr("n", n as f64);
-    if opts.faults.should_fail(sites::RQI_CONVERGE) {
+    if ctx.faults.should_fail(sites::RQI_CONVERGE) {
         sp.attr("outer_iterations", 0.0);
         sp.attr("converged", 0.0);
         return RqiResult {
@@ -106,7 +97,7 @@ pub fn rayleigh_quotient_iteration(
             converged: false,
         };
     }
-    let pool = &opts.pool;
+    let pool = &ctx.pool;
     let ones = crate::op::constant_unit_vector(n);
     let deflate = vec![ones];
     let dop = DeflatedOp::new(lap, &deflate);
@@ -137,7 +128,7 @@ pub fn rayleigh_quotient_iteration(
     let mut outer = 0usize;
 
     for _ in 0..opts.max_outer {
-        if opts.budget.check().is_err() {
+        if ctx.budget.check().is_err() {
             sp.attr("budget_abort", 1.0);
             break; // cooperative abort: keep the best pair so far
         }
@@ -146,7 +137,7 @@ pub fn rayleigh_quotient_iteration(
         // Residual of the current pair.
         let mut qx = vec![0.0; n];
         lap.apply_pooled(&x, &mut qx, pool);
-        opts.budget.charge_matvecs(1);
+        ctx.budget.charge_matvecs(1);
         let res: f64 = qx
             .iter()
             .zip(&x)
@@ -178,9 +169,8 @@ pub fn rayleigh_quotient_iteration(
             &MinresOptions {
                 max_iter: opts.inner_max_iter,
                 rtol: opts.inner_rtol,
-                pool: pool.clone(),
-                budget: opts.budget.clone(),
             },
+            ctx,
         );
         sp.add("inner_iterations", out.iterations as f64);
         let mut y = out.x;
@@ -231,6 +221,11 @@ mod tests {
         SymmetricPattern::from_edges(nx * ny, &edges).unwrap()
     }
 
+    /// Default options in the default (serial, untraced) context.
+    fn rqi(lap: &LaplacianOp<'_>, x0: &[f64]) -> RqiResult {
+        rayleigh_quotient_iteration(lap, x0, &RqiOptions::default(), &SolverOpts::default())
+    }
+
     fn path_fiedler(n: usize) -> Vec<f64> {
         (0..n)
             .map(|i| (std::f64::consts::PI * (i as f64 + 0.5) / n as f64).cos())
@@ -247,7 +242,7 @@ mod tests {
         for (i, xi) in x0.iter_mut().enumerate() {
             *xi += 0.1 * ((i * 37 % 11) as f64 / 11.0 - 0.5);
         }
-        let r = rayleigh_quotient_iteration(&lap, &x0, &RqiOptions::default());
+        let r = rqi(&lap, &x0);
         assert!(r.converged, "residual {}", r.residual);
         let exact = 2.0 - 2.0 * (std::f64::consts::PI / n as f64).cos();
         assert!((r.lambda - exact).abs() < 1e-8, "{} vs {exact}", r.lambda);
@@ -260,7 +255,7 @@ mod tests {
         let g = path(n);
         let lap = LaplacianOp::new(&g);
         let x0 = path_fiedler(n);
-        let r = rayleigh_quotient_iteration(&lap, &x0, &RqiOptions::default());
+        let r = rqi(&lap, &x0);
         assert!(r.converged);
         assert_eq!(r.outer_iterations, 1);
     }
@@ -270,7 +265,7 @@ mod tests {
         let g = grid(7, 5);
         let lap = LaplacianOp::new(&g);
         let x0: Vec<f64> = (0..35).map(|i| (i % 7) as f64 - 3.0).collect();
-        let r = rayleigh_quotient_iteration(&lap, &x0, &RqiOptions::default());
+        let r = rqi(&lap, &x0);
         let s: f64 = r.vector.iter().sum();
         assert!(s.abs() < 1e-8, "sum {s}");
         let nrm: f64 = r.vector.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -290,7 +285,7 @@ mod tests {
                 (std::f64::consts::PI * (x + 0.5) / nx as f64).cos()
             })
             .collect();
-        let r = rayleigh_quotient_iteration(&lap, &x0, &RqiOptions::default());
+        let r = rqi(&lap, &x0);
         assert!(r.converged);
         let exact = 2.0 - 2.0 * (std::f64::consts::PI / nx as f64).cos();
         assert!((r.lambda - exact).abs() < 1e-8, "{} vs {exact}", r.lambda);
@@ -301,7 +296,7 @@ mod tests {
         let g = path(6);
         let lap = LaplacianOp::new(&g);
         // The constant vector projects to zero.
-        let r = rayleigh_quotient_iteration(&lap, &[1.0; 6], &RqiOptions::default());
+        let r = rqi(&lap, &[1.0; 6]);
         assert!(!r.converged);
         assert!(r.residual.is_infinite());
     }
@@ -317,7 +312,7 @@ mod tests {
         let x0: Vec<f64> = (0..n)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let r = rayleigh_quotient_iteration(&lap, &x0, &RqiOptions::default());
+        let r = rqi(&lap, &x0);
         assert!(r.converged);
         // The limit is an eigenvalue of the path Laplacian.
         let is_eig = (0..n).any(|k| {

@@ -1,21 +1,14 @@
-//! The one-stop solver configuration: [`SolverOpts`].
+//! The solve context [`SolverOpts`] and the named solver defaults.
 //!
-//! Historically every solver carried its own options struct
-//! ([`LanczosOptions`], [`RqiOptions`], [`crate::minres::MinresOptions`],
-//! [`FiedlerOptions`]) and several tolerance/iteration-cap defaults were
-//! duplicated as bare literals across them. This module hoists every such
-//! knob into named, documented constants, and wraps the handful that callers
-//! actually tune — plus the thread count — into a single flat [`SolverOpts`]
-//! struct that the facade (`spectral-env`), the CLI and `spectral-orderd`
-//! all share.
-//!
-//! The fine-grained option structs remain the solver-level API;
-//! [`SolverOpts::fiedler_options`] expands into them, wiring one shared
-//! [`TaskPool`] through every stage.
+//! Every tolerance and iteration cap the eigensolvers use is a named,
+//! documented constant here, and each per-solver option struct
+//! ([`LanczosOptions`](crate::LanczosOptions),
+//! [`RqiOptions`](crate::RqiOptions), [`MinresOptions`](crate::MinresOptions),
+//! [`FiedlerOptions`]) holds only such numbers. What every solver shares —
+//! the thread pool, the span recorder, the cooperative budget and the fault
+//! plane — lives once in [`SolverOpts`], which each solver borrows as `ctx`.
 
-use crate::lanczos::LanczosOptions;
 use crate::multilevel::FiedlerOptions;
-use crate::rqi::RqiOptions;
 use se_faults::{Budget, FaultPlane};
 use se_trace::Tracer;
 use sparsemat::par::TaskPool;
@@ -48,8 +41,8 @@ pub const DEFAULT_LANCZOS_CHECK_EVERY: usize = 5;
 pub const DEFAULT_RQI_MAX_OUTER: usize = 12;
 
 /// RQI eigen-residual tolerance (relative to the operator norm bound) when
-/// RQI is used standalone; the multilevel driver overrides it with
-/// [`DEFAULT_FIEDLER_TOL`] so refinement matches the outer target.
+/// RQI is used standalone; [`FiedlerOptions::default`] refines to
+/// [`DEFAULT_FIEDLER_TOL`] instead, so refinement matches the outer target.
 pub const DEFAULT_RQI_TOL: f64 = 1e-10;
 
 /// Iteration cap of the MINRES solve *inside* an RQI step. Deliberately
@@ -67,46 +60,34 @@ pub const DEFAULT_MINRES_MAX_ITER: usize = 500;
 /// Relative residual tolerance for standalone MINRES solves.
 pub const DEFAULT_MINRES_RTOL: f64 = 1e-10;
 
-/// Flat, user-facing solver configuration.
+/// The solve context: the four handles every solver stage shares.
 ///
 /// This is what the `spectral-env` facade, the `spectral-order` CLI
 /// (`--threads`) and the `spectral-orderd` service (`"threads"` request
-/// field) construct; [`SolverOpts::fiedler_options`] expands it into the
-/// per-solver option structs with one shared [`TaskPool`].
+/// field) construct. Solvers borrow it as `ctx: &SolverOpts` next to their
+/// numeric options; [`SolverOpts::fiedler_options`] wraps it into the
+/// multilevel [`FiedlerOptions`].
 ///
-/// Results are **bit-identical for every `threads` value** — the pool's
+/// Results are **bit-identical for every pool size** — the pool's
 /// reductions use a fixed chunk order (see [`sparsemat::par`]) — so the
 /// thread count is purely a wall-clock knob.
 ///
 /// ```
 /// use se_eigen::SolverOpts;
 ///
-/// let opts = SolverOpts { threads: 4, ..SolverOpts::default() };
+/// let opts = SolverOpts::with_threads(4);
 /// let fo = opts.fiedler_options();
+/// assert_eq!(fo.pool.threads(), opts.pool.threads());
 /// assert_eq!(fo.coarsest_size, se_eigen::solver_opts::DEFAULT_COARSEST_SIZE);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SolverOpts {
-    /// Total solver threads: `1` = serial (the default), `0` = all available
-    /// cores, `n > 1` = a pool of `n`. Without the crate's `parallel`
-    /// feature any value degrades to serial.
-    pub threads: usize,
-    /// Fiedler eigen-residual tolerance ([`DEFAULT_FIEDLER_TOL`]).
-    pub tol: f64,
-    /// Lanczos Krylov-dimension cap ([`DEFAULT_LANCZOS_MAX_ITER`]).
-    pub lanczos_max_iter: usize,
-    /// RQI outer-step cap per level ([`DEFAULT_RQI_MAX_OUTER`]).
-    pub rqi_max_outer: usize,
-    /// MINRES cap inside each RQI step ([`DEFAULT_RQI_INNER_MAX_ITER`]).
-    pub inner_max_iter: usize,
-    /// MINRES relative tolerance inside RQI ([`DEFAULT_RQI_INNER_RTOL`]).
-    pub inner_rtol: f64,
-    /// Multilevel coarsest-graph size ([`DEFAULT_COARSEST_SIZE`]).
-    pub coarsest_size: usize,
-    /// Post-interpolation smoothing passes ([`DEFAULT_SMOOTH_STEPS`]).
-    pub smooth_steps: usize,
-    /// Lanczos start-vector seed ([`DEFAULT_LANCZOS_SEED`]).
-    pub seed: u64,
+    /// Pool for every matvec, reduction and region. Serial by default
+    /// ([`TaskPool::serial`]); without the crate's `parallel` feature every
+    /// pool is serial. Long-lived hosts (the `spectral-orderd` engine) pass
+    /// a cached pool through [`SolverOpts::with_pool`] so concurrent solves
+    /// share workers instead of spawning their own.
+    pub pool: TaskPool,
     /// Span recorder threaded through every pipeline stage. Disabled by
     /// default; an enabled tracer never changes numerical results.
     pub trace: Tracer,
@@ -118,108 +99,33 @@ pub struct SolverOpts {
     /// [`FaultPlane::disabled`] (the default) is a strict no-op; solver
     /// results are bit-identical with a disabled plane.
     pub faults: FaultPlane,
-    /// An existing pool to run on instead of building a fresh one from
-    /// `threads`. `None` (the default) keeps the old behaviour —
-    /// [`SolverOpts::pool`] spawns workers per call. Long-lived hosts (the
-    /// `spectral-orderd` engine) set this from a per-thread-count pool cache
-    /// so concurrent solves share workers and their regions overlap instead
-    /// of each request paying thread spawn/join. Results are bit-identical
-    /// either way.
-    pub pool: Option<TaskPool>,
-}
-
-impl Default for SolverOpts {
-    fn default() -> Self {
-        SolverOpts {
-            threads: 1,
-            tol: DEFAULT_FIEDLER_TOL,
-            lanczos_max_iter: DEFAULT_LANCZOS_MAX_ITER,
-            rqi_max_outer: DEFAULT_RQI_MAX_OUTER,
-            inner_max_iter: DEFAULT_RQI_INNER_MAX_ITER,
-            inner_rtol: DEFAULT_RQI_INNER_RTOL,
-            coarsest_size: DEFAULT_COARSEST_SIZE,
-            smooth_steps: DEFAULT_SMOOTH_STEPS,
-            seed: DEFAULT_LANCZOS_SEED,
-            trace: Tracer::disabled(),
-            budget: Budget::unlimited(),
-            faults: FaultPlane::disabled(),
-            pool: None,
-        }
-    }
 }
 
 impl SolverOpts {
-    /// Defaults with a given thread count — the common CLI/service case.
+    /// Defaults on a fresh pool of `threads` total threads (`1` = serial,
+    /// `0` = all available cores) — the common CLI case. The pool is built
+    /// here, once; clones of the context share its workers.
     pub fn with_threads(threads: usize) -> Self {
-        SolverOpts {
-            threads,
-            ..SolverOpts::default()
-        }
+        SolverOpts::with_pool(TaskPool::new(threads))
     }
 
-    /// Defaults with an externally owned pool (e.g. from a pool cache); the
-    /// `threads` field is set to the pool's count for reporting only.
+    /// Defaults on an externally owned pool (e.g. from a pool cache).
     pub fn with_pool(pool: TaskPool) -> Self {
         SolverOpts {
-            threads: pool.threads(),
-            pool: Some(pool),
+            pool,
             ..SolverOpts::default()
         }
     }
 
-    /// The pool this configuration asks for: the injected [`SolverOpts::pool`]
-    /// if set, otherwise a freshly built one. Serial unless the effective
-    /// thread count exceeds 1 *and* the `parallel` feature is enabled.
-    pub fn pool(&self) -> TaskPool {
-        self.pool
-            .clone()
-            .unwrap_or_else(|| TaskPool::new(self.threads))
-    }
-
-    /// Expands into [`LanczosOptions`] sharing the given pool.
-    pub fn lanczos_options(&self, pool: &TaskPool) -> LanczosOptions {
-        LanczosOptions {
-            max_iter: self.lanczos_max_iter,
-            tol: DEFAULT_LANCZOS_TOL,
-            seed: self.seed,
-            check_every: DEFAULT_LANCZOS_CHECK_EVERY,
-            pool: pool.clone(),
-            trace: self.trace.clone(),
-            budget: self.budget.clone(),
-            faults: self.faults.clone(),
-        }
-    }
-
-    /// Expands into [`RqiOptions`] sharing the given pool.
-    pub fn rqi_options(&self, pool: &TaskPool) -> RqiOptions {
-        RqiOptions {
-            max_outer: self.rqi_max_outer,
-            tol: self.tol,
-            inner_max_iter: self.inner_max_iter,
-            inner_rtol: self.inner_rtol,
-            pool: pool.clone(),
-            trace: self.trace.clone(),
-            budget: self.budget.clone(),
-            faults: self.faults.clone(),
-        }
-    }
-
-    /// Expands into the full multilevel [`FiedlerOptions`], creating one
-    /// [`TaskPool`] shared by every stage (coarsening, Lanczos, RQI/MINRES,
-    /// smoothing).
+    /// The multilevel [`FiedlerOptions`] with default numbers, carrying
+    /// this context's handles.
     pub fn fiedler_options(&self) -> FiedlerOptions {
-        let pool = self.pool();
         FiedlerOptions {
-            coarsest_size: self.coarsest_size,
-            tol: self.tol,
-            smooth_steps: self.smooth_steps,
-            galerkin: false,
-            lanczos: self.lanczos_options(&pool),
-            rqi: self.rqi_options(&pool),
-            pool,
+            pool: self.pool.clone(),
             trace: self.trace.clone(),
             budget: self.budget.clone(),
             faults: self.faults.clone(),
+            ..FiedlerOptions::default()
         }
     }
 }
@@ -229,42 +135,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_per_solver_defaults() {
-        let s = SolverOpts::default();
-        let fo = s.fiedler_options();
-        let base = FiedlerOptions::default();
-        assert_eq!(fo.coarsest_size, base.coarsest_size);
-        assert_eq!(fo.tol, base.tol);
-        assert_eq!(fo.smooth_steps, base.smooth_steps);
-        assert_eq!(fo.lanczos.max_iter, base.lanczos.max_iter);
-        assert_eq!(fo.lanczos.tol, base.lanczos.tol);
-        assert_eq!(fo.lanczos.seed, base.lanczos.seed);
-        assert_eq!(fo.rqi.max_outer, base.rqi.max_outer);
-        assert_eq!(fo.rqi.tol, base.rqi.tol);
-        assert_eq!(fo.rqi.inner_max_iter, base.rqi.inner_max_iter);
-        assert_eq!(fo.rqi.inner_rtol, base.rqi.inner_rtol);
-    }
-
-    #[test]
     fn serial_by_default() {
-        assert_eq!(SolverOpts::default().pool().threads(), 1);
+        assert_eq!(SolverOpts::default().pool.threads(), 1);
         assert!(!SolverOpts::default().fiedler_options().pool.is_parallel());
     }
 
     #[test]
-    fn stages_share_one_pool() {
-        let fo = SolverOpts::with_threads(4).fiedler_options();
-        // All stages report the same thread count (clones of one pool).
-        assert_eq!(fo.pool.threads(), fo.lanczos.pool.threads());
-        assert_eq!(fo.pool.threads(), fo.rqi.pool.threads());
+    fn fiedler_options_carry_the_context() {
+        let ctx = SolverOpts {
+            trace: Tracer::enabled(),
+            budget: Budget::cancellable(),
+            ..SolverOpts::with_threads(2)
+        };
+        let fo = ctx.fiedler_options();
+        assert!(fo.trace.is_enabled());
+        assert_eq!(fo.pool.threads(), ctx.pool.threads());
+        // The budget is shared, not copied: cancelling one cancels both.
+        ctx.budget.cancel();
+        assert!(fo.budget.check().is_err());
+        assert!(fo.context().budget.check().is_err());
     }
 
     #[test]
     fn injected_pool_is_reused_not_rebuilt() {
         let external = TaskPool::new(2);
         let s = SolverOpts::with_pool(external.clone());
-        assert_eq!(s.threads, external.threads());
-        assert_eq!(s.pool().threads(), external.threads());
+        assert_eq!(s.pool.threads(), external.threads());
         let fo = s.fiedler_options();
         assert_eq!(fo.pool.threads(), external.threads());
         if external.is_parallel() {

@@ -10,6 +10,7 @@ use se_eigen::lanczos::{lanczos_smallest, LanczosOptions};
 use se_eigen::minres::{minres, MinresOptions};
 use se_eigen::op::{constant_unit_vector, CsrOp, LaplacianOp};
 use se_eigen::tridiag::eigh_tridiag;
+use se_eigen::SolverOpts;
 use se_prng::SmallRng;
 use sparsemat::{CooMatrix, CsrMatrix, SymmetricPattern};
 
@@ -54,7 +55,14 @@ fn lanczos_matches_dense_lambda2() {
         let full = dense.eigh().unwrap();
         let lop = LaplacianOp::new(&g);
         let deflate = vec![constant_unit_vector(g.n())];
-        let lz = lanczos_smallest(&lop, &deflate, 1, &LanczosOptions::default()).unwrap();
+        let lz = lanczos_smallest(
+            &lop,
+            &deflate,
+            1,
+            &LanczosOptions::default(),
+            &SolverOpts::default(),
+        )
+        .unwrap();
         assert!(
             (lz.values[0] - full.values[1]).abs() < 1e-7 * (1.0 + full.values[1]),
             "Lanczos {} vs dense {}",
@@ -123,8 +131,8 @@ fn minres_solves_spd() {
             &MinresOptions {
                 max_iter: 10 * n,
                 rtol: 1e-12,
-                ..Default::default()
             },
+            &SolverOpts::default(),
         );
         assert!(out.converged, "residual {}", out.residual_norm);
         for (xi, ti) in out.x.iter().zip(&x_true) {
@@ -168,7 +176,7 @@ fn lambda2_respects_fiedler_bounds() {
     let mut rng = SmallRng::seed_from_u64(0xE106);
     for _ in 0..48 {
         let g = connected_graph(&mut rng);
-        let f = fiedler_lanczos(&g, &LanczosOptions::default()).unwrap();
+        let f = fiedler_lanczos(&g, &LanczosOptions::default(), &SolverOpts::default()).unwrap();
         assert!(f.lambda2 > 1e-10, "λ₂ = {}", f.lambda2);
         let min_deg = (0..g.n()).map(|v| g.degree(v)).min().unwrap() as f64;
         let n = g.n() as f64;

@@ -34,7 +34,7 @@ fn hybrid_component(g: &SymmetricPattern, opts: &SpectralOptions) -> Result<Vec<
         return Ok((0..n).collect());
     }
     let fr = if opts.force_lanczos {
-        fiedler_lanczos(g, &opts.fiedler.lanczos)?
+        fiedler_lanczos(g, &opts.fiedler.lanczos, &opts.fiedler.context())?
     } else {
         fiedler(g, &opts.fiedler)?
     };

@@ -168,16 +168,17 @@ pub struct Ordering {
 }
 
 /// Runs `alg` on `g` and evaluates the result (default solver
-/// configuration; see [`order_with`] to tune tolerances or threads).
+/// context; see [`order_with`] to set threads, a tracer, a budget or faults).
 pub fn order(g: &SymmetricPattern, alg: Algorithm) -> Result<Ordering> {
     order_with(g, alg, &SolverOpts::default())
 }
 
-/// [`order`] with an explicit solver configuration. `solver` reaches every
-/// eigensolver-backed algorithm (SPECTRAL, HYBRID, SPECTRAL+X, SPECTRAL-ND);
+/// [`order`] with an explicit solve context. `solver` reaches every
+/// eigensolver-backed algorithm (SPECTRAL, HYBRID, SPECTRAL+X, SPECTRAL-ND,
+/// TRACEMIN);
 /// the combinatorial ones (RCM, GPS, GK, …) ignore it. In particular
-/// `solver.threads` routes the whole Fiedler pipeline through one shared
-/// thread pool — results are bit-identical for every thread count.
+/// `solver.pool` runs the whole Fiedler pipeline on one shared thread pool
+/// — results are bit-identical for every thread count.
 pub fn order_with(g: &SymmetricPattern, alg: Algorithm, solver: &SolverOpts) -> Result<Ordering> {
     order_forced(g, alg, solver, false)
 }
@@ -567,6 +568,62 @@ mod tests {
         let out = order_compressed_degraded_with(&g, Algorithm::Spectral, &solver).unwrap();
         assert_eq!(out.degraded.as_deref(), Some("not_converged"));
         assert_eq!(out.ordering.perm.len(), 90);
+    }
+
+    #[test]
+    fn force_lanczos_runs_in_the_callers_context() {
+        // The Lanczos-only path must see the same budget and fault plane as
+        // the multilevel solve it replaces, for every ordering that offers it.
+        type Run = fn(&SymmetricPattern, &SpectralOptions) -> Result<Permutation>;
+        let runs: [(&str, Run); 2] = [
+            ("spectral_ordering", spectral_ordering),
+            ("hybrid_sloan_spectral", hybrid_sloan_spectral),
+        ];
+        let budget = se_faults::Budget::cancellable();
+        budget.cancel();
+        let faults = se_faults::FaultPlane::seeded(1);
+        faults.arm(se_faults::sites::LANCZOS_CONVERGE);
+        let contexts = [
+            (
+                "a cancelled budget",
+                se_eigen::FiedlerOptions {
+                    budget,
+                    ..Default::default()
+                },
+                "budget",
+            ),
+            (
+                "an armed Lanczos fault",
+                se_eigen::FiedlerOptions {
+                    faults,
+                    ..Default::default()
+                },
+                "no convergence",
+            ),
+        ];
+        let kind = |e: &EigenError| match e {
+            EigenError::Budget { .. } => "budget",
+            EigenError::NoConvergence { .. } => "no convergence",
+            _ => "other",
+        };
+        let g = meshgen::grid2d(30, 20);
+        for (name, run) in runs {
+            for (what, fiedler, expected) in &contexts {
+                for force_lanczos in [false, true] {
+                    let opts = SpectralOptions {
+                        fiedler: fiedler.clone(),
+                        force_lanczos,
+                    };
+                    match run(&g, &opts) {
+                        Err(OrderError::Eigen(e)) if kind(&e) == *expected => {}
+                        other => panic!(
+                            "{name} (force_lanczos: {force_lanczos}) with {what}: got {:?}",
+                            other.map(|_| "a permutation")
+                        ),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

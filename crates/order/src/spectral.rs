@@ -10,7 +10,9 @@
 //! is a closest (2-norm) permutation vector to the eigenvector.
 
 use crate::Result;
-use se_eigen::multilevel::{fiedler, FiedlerOptions};
+use se_eigen::lanczos::LanczosOptions;
+use se_eigen::multilevel::{fiedler, fiedler_lanczos, fiedler_weighted, FiedlerOptions};
+use se_eigen::SolverOpts;
 use se_graph::bfs::{connected_components, induced_subgraph};
 use se_trace::Tracer;
 use sparsemat::envelope::envelope_size;
@@ -22,7 +24,8 @@ pub struct SpectralOptions {
     /// Options forwarded to the multilevel Fiedler solver.
     pub fiedler: FiedlerOptions,
     /// Use plain Lanczos instead of the multilevel scheme (slower, for
-    /// validation).
+    /// validation). It runs in the same context — pool, tracer, budget and
+    /// fault plane — as the multilevel solve would.
     pub force_lanczos: bool,
 }
 
@@ -48,7 +51,7 @@ fn spectral_component(g: &SymmetricPattern, opts: &SpectralOptions) -> Result<Ve
         return Ok((0..n).collect());
     }
     let fr = if opts.force_lanczos {
-        se_eigen::multilevel::fiedler_lanczos(g, &opts.fiedler.lanczos)?
+        fiedler_lanczos(g, &opts.fiedler.lanczos, &opts.fiedler.context())?
     } else {
         fiedler(g, &opts.fiedler)?
     };
@@ -61,7 +64,8 @@ fn spectral_component(g: &SymmetricPattern, opts: &SpectralOptions) -> Result<Ve
 /// be structurally symmetric.
 pub fn spectral_ordering_weighted(
     a: &sparsemat::CsrMatrix,
-    opts: &se_eigen::lanczos::LanczosOptions,
+    opts: &LanczosOptions,
+    ctx: &SolverOpts,
 ) -> Result<Permutation> {
     let g = a.pattern().map_err(|e| {
         crate::OrderError::Internal(format!("matrix not structurally symmetric: {e}"))
@@ -87,7 +91,7 @@ pub fn spectral_ordering_weighted(
         }
         let sub_a = coo.to_csr();
         let sub_g = sub_a.pattern().expect("submatrix stays symmetric");
-        let fr = se_eigen::multilevel::fiedler_weighted(&sub_a, opts)?;
+        let fr = fiedler_weighted(&sub_a, opts, ctx)?;
         let local_order = order_by_vector(&sub_g, &fr.vector);
         order.extend(local_order.into_iter().map(|l| members[l]));
     }
@@ -246,7 +250,8 @@ mod tests {
     fn weighted_spectral_matches_structural_on_unit_weights() {
         let g = grid(10, 6);
         let a = g.to_csr_with(|v| g.degree(v) as f64, -1.0);
-        let w = spectral_ordering_weighted(&a, &Default::default()).unwrap();
+        let w =
+            spectral_ordering_weighted(&a, &Default::default(), &SolverOpts::default()).unwrap();
         let s = spectral_ordering(&g, &SpectralOptions::default()).unwrap();
         let e_w = envelope_stats(&g, &w).envelope_size;
         let e_s = envelope_stats(&g, &s).envelope_size;
@@ -276,7 +281,8 @@ mod tests {
         entries.push((0, k, -1e-4));
         entries.push((k, 0, -1e-4));
         let a = sparsemat::CsrMatrix::from_entries(2 * k, &entries).unwrap();
-        let p = spectral_ordering_weighted(&a, &Default::default()).unwrap();
+        let p =
+            spectral_ordering_weighted(&a, &Default::default(), &SolverOpts::default()).unwrap();
         // All of clique 1 before all of clique 2 (or vice versa).
         let max_first: usize = (0..k).map(|v| p.old_to_new(v)).max().unwrap();
         let min_second: usize = (k..2 * k).map(|v| p.old_to_new(v)).min().unwrap();
@@ -292,7 +298,8 @@ mod tests {
     fn weighted_spectral_handles_disconnected() {
         let g = SymmetricPattern::from_edges(8, &[(0, 1), (1, 2), (2, 3), (5, 6), (6, 7)]).unwrap();
         let a = g.spd_matrix(1.0);
-        let p = spectral_ordering_weighted(&a, &Default::default()).unwrap();
+        let p =
+            spectral_ordering_weighted(&a, &Default::default(), &SolverOpts::default()).unwrap();
         assert_eq!(p.len(), 8);
     }
 
@@ -301,10 +308,9 @@ mod tests {
         // The centred permutation vector induced by sorting the Fiedler
         // vector is at least as close (2-norm) to the scaled eigenvector as
         // 500 random permutations — a statistical check of Theorem 2.3.
-        use se_eigen::multilevel::fiedler_lanczos;
         let g = grid(6, 4);
         let n = 24;
-        let fr = fiedler_lanczos(&g, &Default::default()).unwrap();
+        let fr = fiedler_lanczos(&g, &Default::default(), &SolverOpts::default()).unwrap();
         // Scale the unit eigenvector to the permutation-vector norm ℓ.
         let ell: f64 = Permutation::identity(n)
             .centered_vector()

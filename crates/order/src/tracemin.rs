@@ -3,37 +3,19 @@
 //! Identical to [`crate::spectral`] except for step 2 of Algorithm 1: the
 //! Fiedler vector comes from `se-tracemin`'s block trace minimization (whose
 //! per-column inner solves run as concurrent regions on the shared
-//! [`TaskPool`]) instead of the multilevel
+//! [`TaskPool`](sparsemat::par::TaskPool)) instead of the multilevel
 //! Lanczos/RQI pipeline. Step 3 — sorting the eigenvector both ways and
 //! keeping the smaller envelope — is shared code, so the two orderings are
 //! directly comparable: same graph, same sort, different eigensolver.
 
 use crate::spectral::order_by_vector_traced;
 use crate::Result;
+use se_eigen::lanczos::LanczosOptions;
+use se_eigen::multilevel::fiedler_lanczos;
 use se_eigen::SolverOpts;
 use se_graph::bfs::{connected_components, induced_subgraph};
 use se_tracemin::{tracemin_fiedler, TraceminOptions};
-use sparsemat::par::TaskPool;
 use sparsemat::{Permutation, SymmetricPattern};
-
-/// Expands [`SolverOpts`] into [`TraceminOptions`] on `pool` — the same
-/// shape as [`SolverOpts::lanczos_options`] and friends. The block size and
-/// outer cap keep their `se-tracemin` defaults; the shared knobs (tolerance,
-/// inner MINRES cap/tolerance, seed, tracer, budget, fault plane) come from
-/// `solver`.
-pub fn tracemin_options(solver: &SolverOpts, pool: &TaskPool) -> TraceminOptions {
-    TraceminOptions {
-        tol: solver.tol,
-        inner_max_iter: solver.inner_max_iter,
-        inner_rtol: solver.inner_rtol,
-        seed: solver.seed,
-        pool: pool.clone(),
-        trace: solver.trace.clone(),
-        budget: solver.budget.clone(),
-        faults: solver.faults.clone(),
-        ..TraceminOptions::default()
-    }
-}
 
 /// Computes the TraceMin-backed spectral ordering of `g`. Disconnected
 /// graphs are handled per component (components numbered consecutively by
@@ -47,14 +29,13 @@ pub fn tracemin_ordering(
     solver: &SolverOpts,
     force_lanczos: bool,
 ) -> Result<Permutation> {
-    let pool = solver.pool();
     let mut sp = solver.trace.span("tracemin_order");
     let comps = connected_components(g);
     sp.attr("components", comps.members.len() as f64);
     let mut order = Vec::with_capacity(g.n());
     for members in &comps.members {
         let (sub, map) = induced_subgraph(g, members);
-        let local = tracemin_component(&sub, solver, &pool, force_lanczos)?;
+        let local = tracemin_component(&sub, solver, force_lanczos)?;
         order.extend(local.into_iter().map(|l| map[l]));
     }
     Ok(Permutation::from_new_to_old(order).expect("component orders form a permutation"))
@@ -64,7 +45,6 @@ pub fn tracemin_ordering(
 fn tracemin_component(
     g: &SymmetricPattern,
     solver: &SolverOpts,
-    pool: &TaskPool,
     force_lanczos: bool,
 ) -> Result<Vec<usize>> {
     let n = g.n();
@@ -72,9 +52,9 @@ fn tracemin_component(
         return Ok((0..n).collect());
     }
     let vector = if force_lanczos {
-        se_eigen::multilevel::fiedler_lanczos(g, &solver.lanczos_options(pool))?.vector
+        fiedler_lanczos(g, &LanczosOptions::default(), solver)?.vector
     } else {
-        tracemin_fiedler(g, &tracemin_options(solver, pool))?.vector
+        tracemin_fiedler(g, &TraceminOptions::default(), solver)?.vector
     };
     Ok(order_by_vector_traced(g, &vector, &solver.trace))
 }

@@ -552,11 +552,10 @@ impl Engine {
                     0 => 0,
                     t => t.min(sparsemat::par::available_threads()),
                 };
-                let mut solver = se_order::SolverOpts::with_threads(threads);
                 // Run on the shared per-thread-count pool instead of
                 // spawning workers for this one request; concurrent solves
                 // at the same count overlap their regions on one pool.
-                solver.pool = Some(self.solver_pool(threads));
+                let mut solver = se_order::SolverOpts::with_pool(self.solver_pool(threads));
                 // Every computed ordering runs under an enabled tracer: its
                 // span tree feeds the per-stage histograms METRICS exposes
                 // and, when the request asked, the response's trace field.

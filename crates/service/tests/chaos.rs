@@ -424,6 +424,24 @@ fn order_with_retry_rides_out_busy_rejections() {
     assert_valid_perm(r.perm.as_ref().unwrap().order(), g.n());
     release.join().unwrap();
 
+    // The server notices the retry connection's close asynchronously, and
+    // under `max_conns: 1` a connect before that is turned away as busy:
+    // wait (bounded) for the open-connection gauge to drain first.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let open = handle
+            .metrics()
+            .open_connections
+            .load(std::sync::atomic::Ordering::Relaxed);
+        if open == 0 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{open} connection(s) still open 10 s after the retry landed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let mut client = Client::connect(addr).unwrap();
     client.shutdown().unwrap();
     handle.join();

@@ -42,12 +42,12 @@
 use std::sync::OnceLock;
 
 use se_eigen::op::constant_unit_vector;
+use se_eigen::solver_opts::DEFAULT_LANCZOS_SEED;
 use se_eigen::{
-    minres, CsrOp, DeflatedOp, EigenError, MinresOptions, MinresOutcome, Result, SymOp,
+    minres, CsrOp, DeflatedOp, EigenError, MinresOptions, MinresOutcome, Result, SolverOpts, SymOp,
 };
-use se_faults::{sites, Budget, FaultPlane};
+use se_faults::sites;
 use se_prng::SmallRng;
-use se_trace::Tracer;
 use sparsemat::par::TaskPool;
 use sparsemat::SymmetricPattern;
 
@@ -72,9 +72,6 @@ pub const DEFAULT_INNER_MAX_ITER: usize = 300;
 /// TraceMin: early iterations only need a direction, not an accurate solve).
 pub const DEFAULT_INNER_RTOL: f64 = 1e-8;
 
-/// Default seed for the deterministic random start basis.
-pub const DEFAULT_SEED: u64 = 0x5EED_F1ED;
-
 /// Cap for the adaptively loosened inner tolerance.
 const INNER_RTOL_CAP: f64 = 1e-2;
 
@@ -86,9 +83,10 @@ const INNER_RTOL_FACTOR: f64 = 0.05;
 /// subtracted back out of the reported eigenvalue.
 const SHIFT_REL: f64 = 1e-6;
 
-/// Options for [`tracemin_fiedler`]. Mirrors the shape of the other solver
-/// option structs in `se-eigen`: numeric knobs plus the shared pool, tracer,
-/// budget and fault plane.
+/// Options for [`tracemin_fiedler`]. Like the other solver option structs
+/// in `se-eigen` it holds only numbers; the pool, tracer, budget and fault
+/// plane come from the [`SolverOpts`] context. The defaults are what
+/// `alg:"tracemin"` runs.
 #[derive(Debug, Clone)]
 pub struct TraceminOptions {
     /// Basis columns `s`, clamped to `2..=8` and to `n − 1`
@@ -104,22 +102,9 @@ pub struct TraceminOptions {
     /// Floor for the adaptive inner MINRES tolerance
     /// ([`DEFAULT_INNER_RTOL`]).
     pub inner_rtol: f64,
-    /// Start-basis seed ([`DEFAULT_SEED`]).
+    /// Start-basis seed — the seed of the Lanczos start vector,
+    /// [`DEFAULT_LANCZOS_SEED`].
     pub seed: u64,
-    /// Pool for the Ritz-step matvecs/reductions and for spawning the
-    /// per-column inner solves as concurrent regions. Serial by default;
-    /// results are bit-identical for every thread count.
-    pub pool: TaskPool,
-    /// Span recorder: one `tracemin` root span plus a `tracemin_iter` span
-    /// per outer iteration. Disabled by default.
-    pub trace: Tracer,
-    /// Cooperative budget, checked at every outer-iteration boundary and
-    /// (inside MINRES) at every inner-iteration boundary.
-    pub budget: Budget,
-    /// Fault-injection plane: sites
-    /// [`tracemin.outer.converge`](sites::TRACEMIN_OUTER_CONVERGE) and
-    /// [`tracemin.inner.converge`](sites::TRACEMIN_INNER_CONVERGE).
-    pub faults: FaultPlane,
 }
 
 impl Default for TraceminOptions {
@@ -130,11 +115,7 @@ impl Default for TraceminOptions {
             tol: DEFAULT_TOL,
             inner_max_iter: DEFAULT_INNER_MAX_ITER,
             inner_rtol: DEFAULT_INNER_RTOL,
-            seed: DEFAULT_SEED,
-            pool: TaskPool::serial(),
-            trace: Tracer::disabled(),
-            budget: Budget::unlimited(),
-            faults: FaultPlane::disabled(),
+            seed: DEFAULT_LANCZOS_SEED,
         }
     }
 }
@@ -254,13 +235,25 @@ fn orthonormalize(
 /// trace minimization. See the crate docs for the algorithm and the
 /// determinism contract.
 ///
+/// From `ctx`: the Ritz-step matvecs and reductions run on the pool, which
+/// also runs the per-column inner solves as concurrent regions; the tracer
+/// records one `tracemin` root span plus a `tracemin_iter` span per outer
+/// iteration; the budget is checked at every outer-iteration boundary and
+/// (inside MINRES) at every inner-iteration boundary; the fault sites are
+/// [`tracemin.outer.converge`](sites::TRACEMIN_OUTER_CONVERGE) and
+/// [`tracemin.inner.converge`](sites::TRACEMIN_INNER_CONVERGE).
+///
 /// # Errors
 /// [`EigenError::TooSmall`] for `n < 2`, [`EigenError::Disconnected`] when
 /// `g` has more than one component, [`EigenError::NoConvergence`] when the
 /// outer-iteration cap is exhausted (or a `tracemin.*.converge` fault
 /// fires), [`EigenError::Budget`] on deadline/cancel/matvec-cap exhaustion,
 /// and [`EigenError::Numerical`] on basis breakdown.
-pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<TraceminResult> {
+pub fn tracemin_fiedler(
+    g: &SymmetricPattern,
+    opts: &TraceminOptions,
+    ctx: &SolverOpts,
+) -> Result<TraceminResult> {
     let n = g.n();
     if n < 2 {
         return Err(EigenError::TooSmall { n });
@@ -269,10 +262,10 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
         return Err(EigenError::Disconnected);
     }
 
-    let pool = &opts.pool;
+    let pool = &ctx.pool;
     let s = opts.block_size.clamp(2, 8).min(n - 1).max(1);
 
-    let mut span = opts.trace.span("tracemin");
+    let mut span = ctx.trace.span("tracemin");
     span.attr("n", n as f64);
     span.attr("block", s as f64);
     let stats0 = pool.stats();
@@ -304,9 +297,16 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
     orthonormalize(&mut x, pool, opts.seed, 0)?;
 
     let mut inner_matvecs: u64 = 0;
+    // The inner MINRES solves run on a serial pool, so each column's solve
+    // is bit-reproducible in isolation; concurrency comes from the columns
+    // themselves. They share only the caller's budget.
+    let inner_ctx = SolverOpts {
+        budget: ctx.budget.clone(),
+        ..SolverOpts::default()
+    };
 
     for k in 0..opts.max_outer {
-        if let Err(cause) = opts.budget.check() {
+        if let Err(cause) = ctx.budget.check() {
             span.attr("budget_abort", 1.0);
             span.attr("iterations", k as f64);
             span.attr("matvecs", inner_matvecs as f64);
@@ -315,7 +315,7 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
                 cause,
             });
         }
-        let mut iter_span = opts.trace.span_at("tracemin_iter", k);
+        let mut iter_span = ctx.trace.span_at("tracemin_iter", k);
 
         // --- Rayleigh–Ritz on span(X) -----------------------------------
         // W = A·X, H = XᵀW (s×s, computed for i ≤ j and mirrored), then the
@@ -324,7 +324,7 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
         for xj in &x {
             let mut wj = vec![0.0; n];
             a_op.apply_pooled(xj, &mut wj, pool);
-            opts.budget.charge_matvecs(1);
+            ctx.budget.charge_matvecs(1);
             w.push(wj);
         }
         let mut h = vec![0.0; s * s];
@@ -366,7 +366,7 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
         iter_span.attr("ritz_residual", res);
         iter_span.attr("ritz_value", theta - sigma);
 
-        if res <= opts.tol * nb && !opts.faults.should_fail(sites::TRACEMIN_OUTER_CONVERGE) {
+        if res <= opts.tol * nb && !ctx.faults.should_fail(sites::TRACEMIN_OUTER_CONVERGE) {
             let mut vector = std::mem::take(&mut x[0]);
             sign_fix(&mut vector);
             drop(iter_span);
@@ -384,7 +384,7 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
             });
         }
 
-        if opts.faults.should_fail(sites::TRACEMIN_INNER_CONVERGE) {
+        if ctx.faults.should_fail(sites::TRACEMIN_INNER_CONVERGE) {
             return Err(EigenError::NoConvergence {
                 what: "tracemin-inner",
                 iters: k,
@@ -403,27 +403,24 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
         let inner_opts = MinresOptions {
             max_iter: opts.inner_max_iter,
             rtol: inner_rtol,
-            // Serial inner pool: each column's solve is bit-reproducible in
-            // isolation; concurrency comes from the columns themselves.
-            pool: TaskPool::serial(),
-            budget: opts.budget.clone(),
         };
         let outcomes: Vec<OnceLock<MinresOutcome>> = (0..s).map(|_| OnceLock::new()).collect();
         {
             let x_ref = &x;
             let outcomes_ref = &outcomes;
             let inner_ref = &inner_opts;
+            let inner_ctx_ref = &inner_ctx;
             let a_ref = &a_op;
             pool.scope(|sc| {
                 // Fixed column→task-index assignment: task j solves column
                 // j and fills slot j, whichever worker steals it.
                 sc.spawn_tasks(s, move |j| {
-                    let out = minres(a_ref, &x_ref[j], inner_ref);
+                    let out = minres(a_ref, &x_ref[j], inner_ref, inner_ctx_ref);
                     let _ = outcomes_ref[j].set(out);
                 });
             });
         }
-        if let Err(cause) = opts.budget.check() {
+        if let Err(cause) = ctx.budget.check() {
             span.attr("budget_abort", 1.0);
             span.attr("iterations", k as f64);
             span.attr("matvecs", inner_matvecs as f64);
@@ -467,16 +464,18 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
 mod tests {
     use super::*;
     use se_eigen::LaplacianOp;
+    use se_faults::{Budget, FaultPlane};
+    use se_trace::Tracer;
 
-    fn solve(g: &SymmetricPattern, opts: &TraceminOptions) -> TraceminResult {
-        tracemin_fiedler(g, opts).expect("tracemin should converge")
+    fn solve(g: &SymmetricPattern, ctx: &SolverOpts) -> TraceminResult {
+        tracemin_fiedler(g, &TraceminOptions::default(), ctx).expect("tracemin should converge")
     }
 
     #[test]
     fn path_lambda2_matches_closed_form() {
         let n = 32;
         let g = meshgen::path(n);
-        let r = solve(&g, &TraceminOptions::default());
+        let r = solve(&g, &SolverOpts::default());
         let exact = 2.0 * (1.0 - (std::f64::consts::PI / n as f64).cos());
         assert!(
             (r.lambda2 - exact).abs() <= 1e-6 * exact,
@@ -488,7 +487,7 @@ mod tests {
     #[test]
     fn grid_eigen_residual_is_small() {
         let g = meshgen::grid2d(24, 17);
-        let r = solve(&g, &TraceminOptions::default());
+        let r = solve(&g, &SolverOpts::default());
         let lop = LaplacianOp::new(&g);
         let lx = lop.apply_alloc(&r.vector);
         let res: f64 = lx
@@ -508,13 +507,9 @@ mod tests {
     #[test]
     fn bit_identical_across_thread_counts() {
         let g = meshgen::grid2d(30, 11);
-        let base = solve(&g, &TraceminOptions::default());
+        let base = solve(&g, &SolverOpts::default());
         for threads in [2, 4, 8] {
-            let opts = TraceminOptions {
-                pool: TaskPool::new(threads),
-                ..TraceminOptions::default()
-            };
-            let r = solve(&g, &opts);
+            let r = solve(&g, &SolverOpts::with_threads(threads));
             assert_eq!(r.lambda2.to_bits(), base.lambda2.to_bits(), "{threads}t");
             assert_eq!(r.outer_iterations, base.outer_iterations, "{threads}t");
             assert_eq!(r.inner_matvecs, base.inner_matvecs, "{threads}t");
@@ -528,12 +523,12 @@ mod tests {
     fn rejects_tiny_and_disconnected() {
         let g1 = SymmetricPattern::from_edges(1, &[]).unwrap();
         assert!(matches!(
-            tracemin_fiedler(&g1, &TraceminOptions::default()),
+            tracemin_fiedler(&g1, &TraceminOptions::default(), &SolverOpts::default()),
             Err(EigenError::TooSmall { n: 1 })
         ));
         let g2 = SymmetricPattern::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(matches!(
-            tracemin_fiedler(&g2, &TraceminOptions::default()),
+            tracemin_fiedler(&g2, &TraceminOptions::default(), &SolverOpts::default()),
             Err(EigenError::Disconnected)
         ));
     }
@@ -543,11 +538,14 @@ mod tests {
         let faults = FaultPlane::seeded(7);
         faults.arm(sites::TRACEMIN_OUTER_CONVERGE);
         let opts = TraceminOptions {
-            faults,
             max_outer: 8,
             ..TraceminOptions::default()
         };
-        match tracemin_fiedler(&meshgen::grid2d(10, 9), &opts) {
+        let ctx = SolverOpts {
+            faults,
+            ..SolverOpts::default()
+        };
+        match tracemin_fiedler(&meshgen::grid2d(10, 9), &opts, &ctx) {
             Err(EigenError::NoConvergence { what, iters }) => {
                 assert_eq!(what, "tracemin");
                 assert_eq!(iters, 8);
@@ -560,11 +558,11 @@ mod tests {
     fn inner_fault_reports_inner_stage() {
         let faults = FaultPlane::seeded(7);
         faults.arm(sites::TRACEMIN_INNER_CONVERGE);
-        let opts = TraceminOptions {
+        let ctx = SolverOpts {
             faults,
-            ..TraceminOptions::default()
+            ..SolverOpts::default()
         };
-        match tracemin_fiedler(&meshgen::grid2d(10, 9), &opts) {
+        match tracemin_fiedler(&meshgen::grid2d(10, 9), &TraceminOptions::default(), &ctx) {
             Err(EigenError::NoConvergence { what, .. }) => assert_eq!(what, "tracemin-inner"),
             other => panic!("expected NoConvergence, got {other:?}"),
         }
@@ -572,11 +570,11 @@ mod tests {
 
     #[test]
     fn budget_matvec_cap_aborts() {
-        let opts = TraceminOptions {
+        let ctx = SolverOpts {
             budget: Budget::new(None, Some(8)),
-            ..TraceminOptions::default()
+            ..SolverOpts::default()
         };
-        match tracemin_fiedler(&meshgen::grid2d(20, 20), &opts) {
+        match tracemin_fiedler(&meshgen::grid2d(20, 20), &TraceminOptions::default(), &ctx) {
             Err(EigenError::Budget { stage, .. }) => assert_eq!(stage, "tracemin"),
             other => panic!("expected Budget abort, got {other:?}"),
         }
@@ -585,11 +583,11 @@ mod tests {
     #[test]
     fn trace_spans_record_iterations() {
         let trace = Tracer::enabled();
-        let opts = TraceminOptions {
+        let ctx = SolverOpts {
             trace: trace.clone(),
-            ..TraceminOptions::default()
+            ..SolverOpts::default()
         };
-        let r = solve(&meshgen::grid2d(12, 12), &opts);
+        let r = solve(&meshgen::grid2d(12, 12), &ctx);
         let root = trace.finish().expect("a recorded trace");
         assert_eq!(root.name, "tracemin");
         let iters = root

@@ -15,6 +15,7 @@ use spectral_envelope_repro::eigen::lanczos::{lanczos_smallest, LanczosOptions};
 use spectral_envelope_repro::eigen::lobpcg::{lobpcg_smallest, LobpcgOptions};
 use spectral_envelope_repro::eigen::multilevel::{fiedler, FiedlerOptions};
 use spectral_envelope_repro::eigen::op::{constant_unit_vector, LaplacianOp};
+use spectral_envelope_repro::eigen::SolverOpts;
 use std::time::Instant;
 
 fn main() {
@@ -38,7 +39,14 @@ fn main() {
     let deflate = vec![constant_unit_vector(small.n())];
 
     let t0 = Instant::now();
-    let lz = lanczos_smallest(&lop, &deflate, 1, &LanczosOptions::default()).expect("ok");
+    let lz = lanczos_smallest(
+        &lop,
+        &deflate,
+        1,
+        &LanczosOptions::default(),
+        &SolverOpts::default(),
+    )
+    .expect("ok");
     println!(
         "  lanczos       λ₂ = {:.6e}  err {:.1e}  {} steps   ({:.3}s)",
         lz.values[0],

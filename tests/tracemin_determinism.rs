@@ -17,7 +17,6 @@
 use spectral_envelope_repro::eigen::{LaplacianOp, SolverOpts, SymOp};
 use spectral_envelope_repro::graph::bfs::{connected_components, induced_subgraph};
 use spectral_envelope_repro::order::{order_with, Algorithm};
-use spectral_envelope_repro::sparsemat::par::TaskPool;
 use spectral_envelope_repro::sparsemat::SymmetricPattern;
 use spectral_envelope_repro::tracemin::{sign_fix, tracemin_fiedler, TraceminOptions};
 
@@ -77,14 +76,11 @@ fn tracemin_vector_is_bitwise_thread_count_invariant() {
     // the iteration/matvec counts must be bit-identical, digit for digit.
     for name in MATRICES {
         let g = largest_component(&meshgen::standin(name).unwrap().pattern);
-        let serial = tracemin_fiedler(&g, &TraceminOptions::default())
+        let opts = TraceminOptions::default();
+        let serial = tracemin_fiedler(&g, &opts, &SolverOpts::default())
             .unwrap_or_else(|e| panic!("{name}: serial tracemin failed: {e}"));
         for t in THREADS.into_iter().chain(stress_threads()) {
-            let opts = TraceminOptions {
-                pool: TaskPool::new(t),
-                ..TraceminOptions::default()
-            };
-            let par = tracemin_fiedler(&g, &opts)
+            let par = tracemin_fiedler(&g, &opts, &SolverOpts::with_threads(t))
                 .unwrap_or_else(|e| panic!("{name}: {t}-thread tracemin failed: {e}"));
             assert_eq!(
                 par.lambda2.to_bits(),
@@ -113,7 +109,7 @@ fn tracemin_matches_the_multilevel_fiedler_solver() {
     use spectral_envelope_repro::eigen::multilevel::{fiedler, FiedlerOptions};
     for name in MATRICES {
         let g = largest_component(&meshgen::standin(name).unwrap().pattern);
-        let tm = tracemin_fiedler(&g, &TraceminOptions::default())
+        let tm = tracemin_fiedler(&g, &TraceminOptions::default(), &SolverOpts::default())
             .unwrap_or_else(|e| panic!("{name}: tracemin failed: {e}"));
         let ml = fiedler(&g, &FiedlerOptions::default())
             .unwrap_or_else(|e| panic!("{name}: multilevel failed: {e}"));
